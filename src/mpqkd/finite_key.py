@@ -5,8 +5,9 @@ Both protocols distribute L rounds of an N-party GHZ resource.  Second-type
 m of the first-type rounds are sacrificed for parameter estimation, and the
 key is distilled from the remaining n = L - 2m rounds.  The N-BB84 bound uses
 sampling corrections xi on the observed frequencies; the N-six-state bound
-minimizes an entropy expression over the confidence box Gamma_PE and pays a
-postselection penalty that scales exponentially in N.
+takes the infimum of an entropy expression over the confidence box Gamma_PE,
+which sits in closed form at one corner of the box, and pays a postselection
+penalty that scales exponentially in N.
 
 Key lengths can be negative (they are reported as-is, useful to optimizers);
 rates clamp at zero.  A budget whose robustness parameter reaches 1 or an
@@ -20,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from .noise import MarginalProbabilities, ObservedStats
 from .numerics import (
@@ -56,9 +55,6 @@ __all__ = [
     "net_key_length",
     "ObservedStats",
 ]
-
-GRID_POINTS = 64
-
 
 class ConfigurationError(ValueError):
     """Round bookkeeping cannot satisfy m >= 1, n >= 1 (and m' >= 1)."""
@@ -209,34 +205,20 @@ def six_state_entropy_expression(p_ab_worst: float, p_x: float, p_z: float) -> f
 
     with the x log2 x terms extended by 0 at x = 0.  Outside the domain
     (negative arguments or p_z > 1) the point is infeasible and NaN is
-    returned; the Gamma_PE search skips such points.
+    returned; ``gamma_pe_infimum`` reports a confidence box whose
+    (p_x max, p_z min) corner falls outside the domain as infeasible.
     """
     a1 = 1.0 - p_z / 2.0 - p_x
     a2 = p_x - p_z / 2.0
     w = 1.0 - p_z
     if a1 < 0.0 or a2 < 0.0 or w < 0.0 or p_x < 0.0:
         return math.nan
-    return xlog2x(a1) + xlog2x(a2) + w - xlog2x(w) - binary_entropy(p_ab_worst)
+    return _entropy_part(a1, a2, w) - binary_entropy(p_ab_worst)
 
 
-def _xlog2x_arr(x: np.ndarray) -> np.ndarray:
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, x * np.log2(safe), 0.0)
-
-
-def _entropy_surface(px: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    """Vectorized bracket without the h(p_ab) part; +inf marks infeasible."""
-    a1 = 1.0 - pz / 2.0 - px
-    a2 = px - pz / 2.0
-    w = 1.0 - pz
-    # tolerate box-arithmetic roundoff on the feasibility boundary
-    tol = 1e-15
-    feasible = (a1 >= -tol) & (a2 >= -tol) & (w >= -tol)
-    a1 = np.clip(a1, 0.0, None)
-    a2 = np.clip(a2, 0.0, None)
-    w = np.clip(w, 0.0, None)
-    val = _xlog2x_arr(a1) + _xlog2x_arr(a2) + w - _xlog2x_arr(w)
-    return np.where(feasible, val, np.inf)
+def _entropy_part(a1: float, a2: float, w: float) -> float:
+    """The bracket without its -h(p_ab) part, from a1, a2, w >= 0."""
+    return xlog2x(a1) + xlog2x(a2) + w - xlog2x(w)
 
 
 class GammaPEResult(NamedTuple):
@@ -252,27 +234,24 @@ _INFEASIBLE_GAMMA = GammaPEResult(
 )
 
 
-def _grid_min(
-    px_lo: float, px_hi: float, pz_lo: float, pz_hi: float
-) -> Tuple[float, float, float]:
-    """Minimum of the entropy surface over one rectangle, lowest index wins."""
-    px = np.linspace(px_lo, px_hi, GRID_POINTS)
-    pz = np.linspace(pz_lo, pz_hi, GRID_POINTS)
-    surface = _entropy_surface(px[:, None], pz[None, :])
-    flat = int(np.argmin(surface))
-    i, j = divmod(flat, GRID_POINTS)
-    return float(surface[i, j]), float(px[i]), float(pz[j])
-
-
 def _infimum_over_box(
     q_ab: list, q_x: float, q_z: float, eta_z: float, eta_x: float, eta_zp: float
 ) -> GammaPEResult:
     """Worst case of the six-state bracket over the Gamma_PE confidence box.
 
     The per-Bob disagreement probability enters only through -h(P_AB), which
-    is maximized analytically at the box endpoint closest to 1/2.  The
-    (P_X, P_Z) part is searched on a fixed grid with one refinement pass
-    around the incumbent, skipping infeasible points.
+    is maximized at the box endpoint closest to 1/2.  With a1 = 1 - P_Z/2 - P_X,
+    a2 = P_X - P_Z/2 and w = 1 - P_Z, the rest of the bracket is
+    a1 log2 a1 + a2 log2 a2 + w - w log2 w, and on the box (P_X <= 1/2):
+
+    - it strictly decreases in P_X, since d/dP_X = log2(a2/a1) < 0 for
+      P_X < 1/2;
+    - it does not decrease in P_Z, since d/dP_Z = log2(w^2 / (4 a1 a2)) / 2
+      and w^2 - 4 a1 a2 = 4 (1/2 - P_X)^2 >= 0.
+
+    So the infimum is the corner (P_X max, P_Z min).  a1 >= 0 on the whole
+    box while a2 and w are largest at that corner, so the box holds a
+    feasible point exactly when the corner is feasible.
     """
     ab_hi = [min(q + 2.0 * eta_z, 0.5) for q in q_ab]
     if any(q - 2.0 * eta_z > hi for q, hi in zip(q_ab, ab_hi)):
@@ -286,28 +265,20 @@ def _infimum_over_box(
     if px_lo > px_hi or pz_lo > pz_hi:
         return _INFEASIBLE_GAMMA
 
-    best, best_px, best_pz = _grid_min(px_lo, px_hi, pz_lo, pz_hi)
-    if math.isinf(best):
+    a1 = 1.0 - pz_lo / 2.0 - px_hi
+    a2 = px_hi - pz_lo / 2.0
+    w = 1.0 - pz_lo
+    # tolerate box-arithmetic roundoff on the feasibility boundary
+    if a2 < -1e-15 or w < -1e-15:
         return _INFEASIBLE_GAMMA
-
-    # one refinement pass: a fresh grid over the +-1-cell window at the incumbent
-    cell_px = (px_hi - px_lo) / (GRID_POINTS - 1)
-    cell_pz = (pz_hi - pz_lo) / (GRID_POINTS - 1)
-    fine, fine_px, fine_pz = _grid_min(
-        max(best_px - cell_px, px_lo),
-        min(best_px + cell_px, px_hi),
-        max(best_pz - cell_pz, pz_lo),
-        min(best_pz + cell_pz, pz_hi),
-    )
-    if fine < best:
-        best, best_px, best_pz = fine, fine_px, fine_pz
+    entropy = _entropy_part(a1, max(a2, 0.0), max(w, 0.0))
 
     h_ab = binary_entropy(p_ab_worst)
     return GammaPEResult(
-        value=best - h_ab,
-        entropy_part=best,
+        value=entropy - h_ab,
+        entropy_part=entropy,
         h_ab_part=h_ab,
-        witness=MarginalProbabilities(p_ab=p_ab_worst, p_x=best_px, p_z=best_pz),
+        witness=MarginalProbabilities(p_ab=p_ab_worst, p_x=px_hi, p_z=pz_lo),
         feasible=True,
     )
 

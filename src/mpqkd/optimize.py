@@ -105,7 +105,8 @@ def allocate_budget(
     six-state protocol the weights split the inner sum
     ``eps_tot / (L+1)^(2^(2N)-1)`` as 2 eps_bar : (N-1) eps_z : eps_x :
     eps_z' : eps_EC : eps_PA.  A correction pass shifts the components by a
-    few ULPs if rounding ever pushed the composed total above the target.
+    few ULPs if rounding ever pushed the composed total above the target;
+    ValueError is raised if six passes still leave it above.
     """
     w = dict(zip(budget_components(kind), shares.weights))
     if kind is Protocol.N_BB84:
@@ -144,13 +145,19 @@ def allocate_budget(
     for _ in range(6):
         deficit = target.neg_log2 - composed(budget).neg_log2
         if deficit <= 0.0:
-            break
+            return budget
         # large six-state exponents make tiny bumps vanish in rounding, so
         # step by at least a few ULPs of the biggest component
         bump = deficit + 4.0 * max(math.ulp(abs(v)) for v in negs.values())
         for name in negs:
             negs[name] += scale[name] * bump
         budget = build()
+    deficit = target.neg_log2 - composed(budget).neg_log2
+    if deficit > 0.0:
+        raise ValueError(
+            f"composed eps_tot exceeds the target by {deficit:.3g} bits "
+            "after 6 correction passes"
+        )
     return budget
 
 

@@ -4,10 +4,11 @@ Everything here is written directly against the closed-form key-length
 expressions using mpmath, forming raw epsilons as exact powers of two (the
 mpf exponent range is unbounded for practical purposes, so no log-domain
 tricks are needed).  The worst-case point of the six-state confidence box is
-located analytically: the bracket is strictly decreasing in P_X (for
-P_X <= 1/2) and strictly increasing in P_Z, so the infimum sits at the
-(P_X max, P_Z min) corner -- a different route than the library's grid
-search.
+the (P_X max, P_Z min) corner: the bracket is strictly decreasing in P_X (for
+P_X <= 1/2) and non-decreasing in P_Z.  The library takes the same corner, so
+these references are independent of it by precision only; the dense
+brute-force grid in ``test_finite_key.py`` searches the whole box and is the
+independent check of the corner argument itself.
 """
 
 import math

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpqkd.finite_key import (
     ConfigurationError,
@@ -187,8 +189,34 @@ class TestGammaPEInfimum:
                 assert not res.feasible
                 continue
             assert res.feasible
-            assert res.value <= brute + 1e-6
-            assert res.value >= brute - 1e-6
+            assert res.value == pytest.approx(brute, abs=1e-12)
+
+    def test_straddling_boxes_against_brute_force_grid(self):
+        # boxes cut by the P_X = P_Z/2 boundary, some of them wholly beyond it
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(40):
+            q_z = float(rng.uniform(0.12, 0.4))
+            q_x = q_z / 2.0 + float(rng.uniform(-0.06, 0.01))
+            eta_x = float(rng.uniform(0.001, 0.02))
+            eta_zp = float(rng.uniform(0.001, 0.02))
+            res = _infimum_over_box([0.03], q_x, q_z, 0.01, eta_x, eta_zp)
+            brute = brute_force_infimum([0.03], q_x, q_z, 0.01, eta_x, eta_zp)
+            assert res.feasible == (brute is not None)
+            verdicts.add(res.feasible)
+            if res.feasible:
+                assert res.value == pytest.approx(brute, abs=1e-12)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "q_x, feasible", [(0.05, True), (0.05 - 5e-16, True), (0.05 - 1e-14, False)]
+    )
+    def test_roundoff_tolerance_on_boundary(self, q_x, feasible):
+        # degenerate boxes at P_Z = 0.1, a hair either side of P_X = P_Z/2
+        res = _infimum_over_box([0.03], q_x, 0.1, 0.0, 0.0, 0.0)
+        brute = brute_force_infimum([0.03], q_x, 0.1, 0.0, 0.0, 0.0)
+        assert res.feasible is feasible
+        assert (brute is not None) is feasible
 
     def test_witness_respects_feasibility(self):
         # box straddling the p_x = p_z/2 boundary
@@ -207,6 +235,50 @@ class TestGammaPEInfimum:
         res = gamma_pe_infimum(stats, budget, (10**5, 5 * 10**4))
         assert res.feasible
         assert res.value < six_state_entropy_expression(0.05, 0.05, 0.05)
+
+
+# 60-digit evaluations resolve differences far below this; it absorbs only
+# their own rounding where the bracket is flat in P_Z (at P_X = 1/2)
+MP_ROUNDING = 1e-50
+
+
+class TestCornerArgument:
+    @given(
+        p_ab=st.floats(0.0, 0.5),
+        p_x=st.floats(0.0, 0.5),
+        frac=st.floats(0.0, 1.0),
+        step=st.floats(1e-9, 0.05),
+    )
+    def test_bracket_monotone_on_feasible_points(self, p_ab, p_x, frac, step):
+        p_z = 2.0 * p_x * frac  # a2 = p_x (1 - frac) >= 0, so the point is feasible
+        base = oracles.mp_sixstate_bracket(p_ab, p_x, p_z)
+        assert base is not None
+        if p_x + step <= 0.5:
+            assert oracles.mp_sixstate_bracket(p_ab, p_x + step, p_z) < base
+        up_z = oracles.mp_sixstate_bracket(p_ab, p_x, p_z + step)
+        if up_z is not None:
+            assert up_z - base >= -MP_ROUNDING
+
+    @given(
+        q_ab=st.lists(st.floats(0.0, 0.15), min_size=1, max_size=4),
+        q_x=st.floats(0.0, 0.3),
+        q_z=st.floats(0.0, 0.6),
+        etas=st.tuples(*[st.floats(0.0, 0.05)] * 3),
+    )
+    def test_result_is_the_corner(self, q_ab, q_x, q_z, etas):
+        eta_z, eta_x, eta_zp = etas
+        res = _infimum_over_box(q_ab, q_x, q_z, eta_z, eta_x, eta_zp)
+        if not res.feasible:
+            return
+        p_ab_worst = max(min(q + 2.0 * eta_z, 0.5) for q in q_ab)
+        px_hi = min(q_x + 2.0 * eta_x, 0.5)
+        pz_lo = max(q_z - 2.0 * eta_zp, 0.0)
+        w = res.witness
+        assert (w.p_ab, w.p_x, w.p_z) == (p_ab_worst, px_hi, pz_lo)
+        assert res.value == res.entropy_part - res.h_ab_part
+        reference = oracles.mp_sixstate_bracket(p_ab_worst, px_hi, pz_lo)
+        if reference is not None:  # None only inside the roundoff tolerance
+            assert res.value == pytest.approx(float(reference), abs=1e-12)
 
 
 class TestKeyLengthNBB84:

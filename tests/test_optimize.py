@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
     ConfigurationError,
     Protocol,
@@ -69,6 +70,19 @@ class TestAllocateBudget:
         assert budget.eps_pa.neg_log2 == pytest.approx(
             TARGET.neg_log2 + shift + math.log2(6), rel=1e-9
         )
+
+    @pytest.mark.parametrize("kind", list(Protocol))
+    def test_raises_when_target_never_met(self, monkeypatch, kind):
+        # a composition stuck one bit above the target defeats every pass
+        def stuck(*args):
+            return LogEps(TARGET.neg_log2 - 1.0)
+
+        monkeypatch.setattr(optimize, "epsilon_total_nbb84", stuck)
+        monkeypatch.setattr(optimize, "epsilon_total_nsixstate", stuck)
+        k = len(budget_components(kind))
+        shares = BudgetShares(0.05, tuple([1.0 / k] * k))
+        with pytest.raises(ValueError, match="exceeds the target by 1 bits"):
+            allocate_budget(kind, 3, 10**6, TARGET, shares)
 
 
 class TestOptimizeRate:
