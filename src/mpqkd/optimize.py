@@ -375,21 +375,18 @@ def threshold_L(
     global-depolarizing relations.
     """
     stats = stats_from_qab_global(q_ab, parties)
-    cache: Dict[int, Tuple[float, float]] = {}
+    cache: Dict[Tuple[Protocol, int], float] = {}
 
-    def rates(total_rounds: int) -> Tuple[float, float]:
-        if total_rounds not in cache:
-            r6 = optimize_rate(
-                Protocol.N_SIX_STATE, parties, total_rounds, stats, eps_tot_target, search_config
+    def rate(kind: Protocol, total_rounds: int) -> float:
+        if (kind, total_rounds) not in cache:
+            cache[kind, total_rounds] = optimize_rate(
+                kind, parties, total_rounds, stats, eps_tot_target, search_config
             ).rate
-            rb = optimize_rate(
-                Protocol.N_BB84, parties, total_rounds, stats, eps_tot_target, search_config
-            ).rate
-            cache[total_rounds] = (r6, rb)
-        return cache[total_rounds]
+        return cache[kind, total_rounds]
 
     def crossed(total_rounds: int) -> bool:
-        r6, rb = rates(total_rounds)
-        return r6 > 0.0 and rb > 0.0 and r6 >= rb
+        # a zero six-state rate settles the verdict without the N-BB84 optimum
+        r6 = rate(Protocol.N_SIX_STATE, total_rounds)
+        return r6 > 0.0 and 0.0 < rate(Protocol.N_BB84, total_rounds) <= r6
 
     return _threshold_from_curve(crossed, l_min, l_max)

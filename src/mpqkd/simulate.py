@@ -5,7 +5,10 @@ and a desk-scale one-way error-correction protocol.
 All randomness flows through a counter-based Philox generator seeded from a
 single integer; sub-experiments draw from spawned child streams, so a report
 is reproducible bit-for-bit from (seed, parameters) and tallies merged from
-batches are order-independent integer sums.
+batches are order-independent integer sums.  Tallies are taken one Bob
+column at a time on scratch buffers filled in place; ``random(out=...)``
+consumes a stream exactly as ``random(size)`` does, so the counts equal
+those of whole-array reductions over freshly drawn chunks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +78,12 @@ def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
+def _chunks(total: int, size: int) -> Iterator[int]:
+    """Batch sizes that cover ``total`` items, ``size`` at a time."""
+    for start in range(0, total, size):
+        yield min(size, total - start)
+
+
 def simulate_rounds(
     scenario: NoiseScenario, config: ProtocolConfig, seed: int
 ) -> SimulationReport:
@@ -103,37 +112,46 @@ def simulate_rounds(
     z_stream, x_stream = [_philox(s) for s in np.random.SeedSequence(seed).spawn(2)]
     nu = scenario.nu
     is_global = scenario.model is NoiseModel.GLOBAL_DEPOLARIZING
+    six = config.kind is Protocol.N_SIX_STATE
+    x_rounds = counts.m_prime if six else counts.m
+
+    # scratch for the longer (first-type) pass, reused by every chunk; the
+    # flags are column-major so that each Bob's column is contiguous
+    rows = min(_CHUNK, counts.m)
+    uniforms = np.empty(rows if is_global else (rows, n_bobs))
+    flags = np.empty(uniforms.shape, dtype=bool, order="F")
+
+    def below(stream: np.random.Generator, rounds: int, threshold: float) -> np.ndarray:
+        return np.less(stream.random(out=uniforms[:rounds]), threshold, out=flags[:rounds])
 
     ab_errors = np.zeros(n_bobs, dtype=np.int64)
     z_errors = 0
-    done = 0
-    while done < counts.m:
-        rounds = min(_CHUNK, counts.m - done)
+    for rounds in _chunks(counts.m, _CHUNK):
         if is_global:
-            noisy = z_stream.random(rounds) < nu
+            noisy = below(z_stream, rounds, nu)
             bits = z_stream.integers(0, 2, size=(rounds, n_bobs), dtype=np.uint8)
-            discord = bits & noisy[:, None]
+            discord = bits.view(bool)[noisy]  # noiseless rounds never disagree
         else:
-            discord = z_stream.random((rounds, n_bobs)) < nu / 2.0
-        ab_errors += discord.sum(axis=0, dtype=np.int64)
-        z_errors += int(discord.any(axis=1).sum())
-        done += rounds
+            discord = below(z_stream, rounds, nu / 2.0)
+        any_bob = np.zeros(len(discord), dtype=bool)
+        for bob in range(n_bobs):
+            ab_errors[bob] += np.count_nonzero(discord[:, bob])
+            any_bob |= discord[:, bob]
+        z_errors += int(np.count_nonzero(any_bob))
 
-    x_rounds = counts.m_prime if config.kind is Protocol.N_SIX_STATE else counts.m
     x_errors = 0
-    done = 0
-    while done < x_rounds:
-        rounds = min(_CHUNK, x_rounds - done)
+    for rounds in _chunks(x_rounds, _CHUNK):
         if is_global:
-            noisy = x_stream.random(rounds) < nu
-            parity = x_stream.integers(0, 2, size=rounds, dtype=np.uint8) & noisy
+            noisy = below(x_stream, rounds, nu)
+            bits = x_stream.integers(0, 2, size=rounds, dtype=np.uint8)
+            x_errors += int(np.count_nonzero(bits[noisy]))
         else:
-            flips = x_stream.random((rounds, n_bobs)) < nu / 2.0
-            parity = flips.sum(axis=1) % 2
-        x_errors += int(parity.sum())
-        done += rounds
+            flips = below(x_stream, rounds, nu / 2.0)
+            parity = np.zeros(rounds, dtype=bool)
+            for bob in range(n_bobs):
+                parity ^= flips[:, bob]
+            x_errors += int(np.count_nonzero(parity))
 
-    six = config.kind is Protocol.N_SIX_STATE
     return SimulationReport(
         ab_errors=tuple(int(e) for e in ab_errors),
         ab_rounds=counts.m,
@@ -263,16 +281,13 @@ def sampling_lemma_experiment(
     xi_mn = xi_correction(eps, m, n)
 
     two_sided = upper = lower = 0
-    done = 0
-    while done < trials:
-        batch = min(_CHUNK, trials - done)
+    for batch in _chunks(trials, _CHUNK):
         ones = rng.hypergeometric(weight, big_m - weight, m, size=batch)
         lam_m = ones / m
         lam_n = (weight - ones) / n
         two_sided += int(np.sum(0.5 * np.abs(lam_n - lam_m) > xi_nm))
         upper += int(np.sum(lam_n > lam_m + 2.0 * xi_nm))
         lower += int(np.sum(lam_m > lam_n + 2.0 * xi_mn))
-        done += batch
 
     return SamplingLemmaReport(
         two_sided=two_sided,
@@ -305,12 +320,14 @@ class ECToyReport:
         return self.aborts / self.trials
 
 
-def _ball_offsets(key_bits: int, radius: int) -> np.ndarray:
-    offsets = []
-    for wt in range(radius + 1):
-        for positions in itertools.combinations(range(key_bits), wt):
-            offsets.append(sum(1 << pos for pos in positions))
-    return np.array(offsets, dtype=np.uint64)
+def _ball_positions(key_bits: int, radius: int) -> np.ndarray:
+    """1-bit positions of each offset of weight <= radius, padded with key_bits."""
+    rows = [
+        positions + (key_bits,) * (radius - wt)
+        for wt in range(radius + 1)
+        for positions in itertools.combinations(range(key_bits), wt)
+    ]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), radius)
 
 
 def ec_toy_run(
@@ -347,8 +364,8 @@ def ec_toy_run(
     if parties < 2:
         raise ValueError(f"parties must be >= 2, got {parties}")
 
-    offsets = _ball_offsets(key_bits, radius)
-    ball = len(offsets)
+    positions = _ball_positions(key_bits, radius)
+    ball = len(positions)
     z_ec = math.ceil(math.log2(ball) + math.log2(parties - 1) + eps_ec.neg_log2)
     z_ec = max(z_ec, 1)
     if z_ec > 62:
@@ -357,34 +374,29 @@ def ec_toy_run(
 
     n_bobs = parties - 1
     rng = _philox(np.random.SeedSequence(seed))
-    offset_bits = [(offsets >> np.uint64(t)) & np.uint64(1) for t in range(key_bits)]
 
     failures = aborts = 0
-    done = 0
     chunk_size = max(1, min(trials, (1 << 21) // max(ball, 1)))
-    while done < trials:
-        batch = min(chunk_size, trials - done)
+    for batch in _chunks(trials, chunk_size):
         # x itself never needs sampling: everything below depends only on the
         # Bob-noise difference vectors, and the hash is linear
         flips = rng.random((batch, n_bobs, key_bits)) < q
-        powers = (np.uint64(1) << np.arange(key_bits, dtype=np.uint64))[None, None, :]
-        noise = (flips * powers).sum(axis=2, dtype=np.uint64)
         noise_wt = flips.sum(axis=2)
 
         # hash matrix per trial, stored column-wise: f(v) = XOR of columns at v's 1-bits
         cols = rng.integers(0, 1 << z_ec, size=(batch, key_bits), dtype=np.uint64)
-        f_noise = np.zeros((batch, n_bobs), dtype=np.uint64)
-        f_offsets = np.zeros((batch, ball), dtype=np.uint64)
-        for t in range(key_bits):
-            col = cols[:, t]
-            bit = ((noise >> np.uint64(t)) & np.uint64(1)).astype(bool)
-            f_noise ^= np.where(bit, col[:, None], np.uint64(0))
-            f_offsets ^= np.where(offset_bits[t][None, :].astype(bool), col[:, None], np.uint64(0))
+        f_noise = np.bitwise_xor.reduce(np.where(flips, cols[:, None, :], np.uint64(0)), axis=2)
+        # one row of hashes per ball offset, the XOR of the ``radius`` hash
+        # columns its position-table row names; padding slots name the
+        # appended zero column, so every offset takes the same ``radius`` passes
+        hash_cols = np.concatenate([cols.T, np.zeros((1, batch), dtype=np.uint64)])
+        f_offsets = np.zeros((ball, batch), dtype=np.uint64)
+        for slot in positions.T:
+            f_offsets ^= hash_cols[slot]
 
         # candidate x^v with v = noise ^ offset survives iff F v = 0,
         # i.e. f(offset) == f(noise)
-        matches = f_offsets[:, None, :] == f_noise[:, :, None]
-        n_hits = matches.sum(axis=2)
+        n_hits = (f_offsets == f_noise.T[:, None, :]).sum(axis=1).T
         x_in_ball = noise_wt <= radius
         n_wrong = n_hits - x_in_ball.astype(np.int64)
 
@@ -397,7 +409,6 @@ def ec_toy_run(
 
         aborts += int(abort_trial.sum())
         failures += int(failure_trial.sum())
-        done += batch
 
     return ECToyReport(
         failures=failures,

@@ -128,8 +128,13 @@ class TestSixStateEntropyExpression:
 def brute_force_infimum(q_ab, q_x, q_z, eta_z, eta_x, eta_zp, grid=512):
     """Independent dense-grid reference for the Gamma_PE infimum."""
     ab_hi = min(max(q_ab) + 2 * eta_z, 0.5)
-    px = np.linspace(max(q_x - 2 * eta_x, 0.0), min(q_x + 2 * eta_x, 0.5), grid)
-    pz = np.linspace(max(q_z - 2 * eta_zp, 0.0), min(q_z + 2 * eta_zp, 1.0), grid)
+    px_lo, px_hi = max(q_x - 2 * eta_x, 0.0), min(q_x + 2 * eta_x, 0.5)
+    pz_lo, pz_hi = max(q_z - 2 * eta_zp, 0.0), min(q_z + 2 * eta_zp, 1.0)
+    # an empty range (linspace would run it backwards) empties the box
+    if px_lo > px_hi or pz_lo > pz_hi or max(q_ab) - 2 * eta_z > 0.5:
+        return None
+    px = np.linspace(px_lo, px_hi, grid)
+    pz = np.linspace(pz_lo, pz_hi, grid)
     px_g, pz_g = np.meshgrid(px, pz, indexing="ij")
     a1 = 1.0 - pz_g / 2.0 - px_g
     a2 = px_g - pz_g / 2.0
@@ -228,6 +233,18 @@ class TestGammaPEInfimum:
         res = _infimum_over_box([0.02], 0.0, 0.6, 0.0, 0.0, 0.0)
         assert not res.feasible
         assert res.witness is None
+
+    @pytest.mark.parametrize(
+        "q_ab, q_x, eta",
+        [([0.02], 0.51, 0.0), ([0.02], 0.6, 0.02), ([0.02], 1.0, 0.2), ([0.7, 0.02], 0.05, 0.05)],
+    )
+    def test_empty_box_agrees_with_brute_force(self, q_ab, q_x, eta):
+        # valid frequencies above 1/2 whose whole P_X or P_AB range lies
+        # beyond the 1/2 cap
+        ObservedStats(q_ab=q_ab, q_x=q_x, q_z=0.1)
+        assert max(q_x, *q_ab) - 2.0 * eta > 0.5
+        assert not _infimum_over_box(q_ab, q_x, 0.1, eta, eta, 0.01).feasible
+        assert brute_force_infimum(q_ab, q_x, 0.1, eta, eta, 0.01) is None
 
     def test_public_wrapper(self):
         stats = ObservedStats(q_ab=[0.05], q_x=0.05, q_z=0.05)

@@ -1,6 +1,7 @@
 """Budget allocation exactness, optimizer guarantees, threshold mechanics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,6 +153,39 @@ class TestThresholdFromCurve:
 class TestThresholdL:
     def test_none_when_lmax_tiny(self):
         assert threshold_L(0.05, 2, TARGET, l_max=4096, search_config=FAST) is None
+
+    def test_nbb84_optimized_only_where_six_state_is_positive(self, monkeypatch):
+        # synthetic optima: six-state is zero below 2^14 and overtakes a flat
+        # N-BB84 rate of 0.45 at L = 163840
+        def six(total):
+            return max(0.0, 0.5 * (1.0 - 2**14 / total))
+
+        def bb84(total):
+            return 0.45 if total >= 2**11 else 0.0
+
+        calls = []
+
+        def fake_optimize_rate(kind, parties, total, stats, target, config):
+            calls.append((kind, total))
+            return SimpleNamespace(rate=six(total) if kind is Protocol.N_SIX_STATE else bb84(total))
+
+        monkeypatch.setattr(optimize, "optimize_rate", fake_optimize_rate)
+        lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
+
+        probed = []
+
+        def eager(total):
+            probed.append(total)
+            return six(total) > 0.0 and bb84(total) > 0.0 and six(total) >= bb84(total)
+
+        assert lbar == _threshold_from_curve(eager, 1024, 10**14)
+        assert 163840 <= lbar <= 1.01 * 163840
+        assert len(calls) == len(set(calls))  # each (protocol, L) optimized once
+        six_probed = [t for kind, t in calls if kind is Protocol.N_SIX_STATE]
+        bb84_probed = [t for kind, t in calls if kind is Protocol.N_BB84]
+        assert set(six_probed) == set(probed)
+        assert set(bb84_probed) == {t for t in probed if six(t) > 0.0}
+        assert len(bb84_probed) < len(six_probed)
 
     def test_crossover_exists_and_orders(self):
         lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
