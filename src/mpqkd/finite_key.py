@@ -13,6 +13,14 @@ Key lengths can be negative (they are reported as-is, useful to optimizers);
 rates clamp at zero.  A budget whose robustness parameter reaches 1 or an
 empty Gamma_PE yields ``raw_length = -inf`` with ``feasible = False`` rather
 than an exception.
+
+Every formula has one private core on plain floats: the round counts, the
+eps_PE / eps_tot compositions (``neg_log2`` exponents in, both exponents
+out), the Gamma_PE corner and the key-length terms.  The rate optimizer
+scores each candidate point through these cores alone; the public functions
+validate their arguments, call the same cores and wrap the results in
+``LogEps``, ``KeyLengthResult`` and friends, so objects are built only for
+the points a caller asks about.
 """
 
 from __future__ import annotations
@@ -23,16 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .noise import MarginalProbabilities, ObservedStats
-from .numerics import (
-    LogEps,
-    binary_entropy,
-    eps_sqrt,
-    eps_sum,
-    eta_correction,
-    log2_one_minus,
-    xi_correction,
-    xlog2x,
-)
+from .numerics import LogEps, _eta, _log2_one_minus, _sum_neg, _xi, binary_entropy, xlog2x
 
 __all__ = [
     "Protocol",
@@ -91,16 +90,27 @@ class RoundCounts(NamedTuple):
 
 def derive_counts(config: ProtocolConfig) -> RoundCounts:
     """Round bookkeeping: m = floor(L*p), n = L - 2m, m' = floor(m/2)."""
-    m = math.floor(config.total_rounds * config.second_type_prob)
-    n = config.total_rounds - 2 * m
+    return RoundCounts(*_counts(config.kind, config.total_rounds, config.second_type_prob))
+
+
+def _counts(kind: Protocol, total_rounds: int, p: float) -> Tuple[int, int, int]:
+    m = math.floor(total_rounds * p)
+    n = total_rounds - 2 * m
     m_prime = m // 2
     if m < 1:
         raise ConfigurationError(f"no test rounds: m = {m}")
     if n < 1:
         raise ConfigurationError(f"no key rounds left: n = {n}")
-    if config.kind is Protocol.N_SIX_STATE and m_prime < 1:
+    if kind is Protocol.N_SIX_STATE and m_prime < 1:
         raise ConfigurationError(f"no accepted X-parity rounds: m' = {m_prime}")
-    return RoundCounts(m=m, n=n, m_prime=m_prime)
+    return m, n, m_prime
+
+
+def _check_stats(kind: Protocol, parties: int, stats: ObservedStats) -> None:
+    if len(stats.q_ab) != parties - 1:
+        raise ValueError("need one Q_AB entry per Bob")
+    if kind is Protocol.N_SIX_STATE and stats.q_z is None:
+        raise ValueError("six-state statistics require q_z")
 
 
 @dataclass(frozen=True)
@@ -123,23 +133,50 @@ class SecurityBudget:
             raise ValueError("six-state budget needs eps_bar and eps_z_prime")
 
 
+# the order in which the float cores take a budget's exponents
+BB84_COMPONENTS = ("eps_z", "eps_x", "eps_ec", "eps_pa")
+SIX_STATE_COMPONENTS = ("eps_bar", "eps_z", "eps_x", "eps_z_prime", "eps_ec", "eps_pa")
+
+
+def _negs(budget: SecurityBudget, kind: Protocol) -> Tuple[float, ...]:
+    if kind is Protocol.N_BB84:
+        names = BB84_COMPONENTS
+    else:
+        budget.require_six_state()
+        names = SIX_STATE_COMPONENTS
+    return tuple(getattr(budget, name).neg_log2 for name in names)
+
+
+def _compose_nbb84(negs, parties: int) -> Tuple[float, float]:
+    """(eps_PE, eps_tot) exponents of the (z, x, ec, pa) exponents."""
+    z, x, ec, pa = negs
+    pe = _sum_neg([(parties - 1, z), (1.0, x)]) / 2.0
+    return pe, _sum_neg([(2.0, pe), (1.0, ec), (1.0, pa)])
+
+
+def _compose_nsixstate(negs, parties: int, total_rounds: int) -> Tuple[float, float]:
+    """(eps_PE, eps_tot) exponents of the (bar, z, x, z', ec, pa) exponents."""
+    bar, z, x, zp, ec, pa = negs
+    pe = _sum_neg([(1.0, zp), (parties - 1, z), (1.0, x)])
+    inner = _sum_neg([(2.0, bar), (1.0, pe), (1.0, ec), (1.0, pa)])
+    return pe, inner - postselection_exponent(parties) * math.log2(total_rounds + 1)
+
+
 def epsilon_pe_nbb84(budget: SecurityBudget, parties: int) -> LogEps:
     """eps_PE = sqrt((N-1) eps_z + eps_x)."""
-    return eps_sqrt(eps_sum([(parties - 1, budget.eps_z), (1.0, budget.eps_x)]))
+    return LogEps(_compose_nbb84(_negs(budget, Protocol.N_BB84), parties)[0])
 
 
 def epsilon_pe_nsixstate(budget: SecurityBudget, parties: int) -> LogEps:
     """eps_PE = eps_z' + (N-1) eps_z + eps_x."""
-    budget.require_six_state()
-    return eps_sum(
-        [(1.0, budget.eps_z_prime), (parties - 1, budget.eps_z), (1.0, budget.eps_x)]
-    )
+    # eps_PE does not depend on L; only eps_tot carries the postselection factor
+    negs = _negs(budget, Protocol.N_SIX_STATE)
+    return LogEps(_compose_nsixstate(negs, parties, total_rounds=0)[0])
 
 
 def epsilon_total_nbb84(budget: SecurityBudget, parties: int) -> LogEps:
     """eps_tot = 2 eps_PE + eps_EC + eps_PA."""
-    eps_pe = epsilon_pe_nbb84(budget, parties)
-    return eps_sum([(2.0, eps_pe), (1.0, budget.eps_ec), (1.0, budget.eps_pa)])
+    return LogEps(_compose_nbb84(_negs(budget, Protocol.N_BB84), parties)[1])
 
 
 def postselection_exponent(parties: int) -> int:
@@ -153,13 +190,8 @@ def epsilon_total_nsixstate(budget: SecurityBudget, parties: int, total_rounds: 
     The result can be vacuous (eps_tot > 1, negative ``neg_log2``); callers
     should check ``.vacuous`` rather than expect an exception.
     """
-    budget.require_six_state()
-    eps_pe = epsilon_pe_nsixstate(budget, parties)
-    inner = eps_sum(
-        [(2.0, budget.eps_bar), (1.0, eps_pe), (1.0, budget.eps_ec), (1.0, budget.eps_pa)]
-    )
-    shift = postselection_exponent(parties) * math.log2(total_rounds + 1)
-    return LogEps(inner.neg_log2 - shift)
+    negs = _negs(budget, Protocol.N_SIX_STATE)
+    return LogEps(_compose_nsixstate(negs, parties, total_rounds)[1])
 
 
 @dataclass(frozen=True)
@@ -234,10 +266,13 @@ _INFEASIBLE_GAMMA = GammaPEResult(
 )
 
 
-def _infimum_over_box(
+def _box_corner(
     q_ab: list, q_x: float, q_z: float, eta_z: float, eta_x: float, eta_zp: float
-) -> GammaPEResult:
+) -> Optional[Tuple[float, float, float, float, float]]:
     """Worst case of the six-state bracket over the Gamma_PE confidence box.
+
+    Returns (entropy_part, h_ab_part, P_AB, P_X, P_Z) at the worst point, or
+    None for an empty box.
 
     The per-Bob disagreement probability enters only through -h(P_AB), which
     is maximized at the box endpoint closest to 1/2.  With a1 = 1 - P_Z/2 - P_X,
@@ -255,7 +290,7 @@ def _infimum_over_box(
     """
     ab_hi = [min(q + 2.0 * eta_z, 0.5) for q in q_ab]
     if any(q - 2.0 * eta_z > hi for q, hi in zip(q_ab, ab_hi)):
-        return _INFEASIBLE_GAMMA
+        return None
     p_ab_worst = max(ab_hi)
 
     px_lo = max(q_x - 2.0 * eta_x, 0.0)
@@ -263,24 +298,50 @@ def _infimum_over_box(
     pz_lo = max(q_z - 2.0 * eta_zp, 0.0)
     pz_hi = min(q_z + 2.0 * eta_zp, 1.0)
     if px_lo > px_hi or pz_lo > pz_hi:
-        return _INFEASIBLE_GAMMA
+        return None
 
     a1 = 1.0 - pz_lo / 2.0 - px_hi
     a2 = px_hi - pz_lo / 2.0
     w = 1.0 - pz_lo
     # tolerate box-arithmetic roundoff on the feasibility boundary
     if a2 < -1e-15 or w < -1e-15:
-        return _INFEASIBLE_GAMMA
+        return None
     entropy = _entropy_part(a1, max(a2, 0.0), max(w, 0.0))
+    return entropy, binary_entropy(p_ab_worst), p_ab_worst, px_hi, pz_lo
 
-    h_ab = binary_entropy(p_ab_worst)
+
+def _gamma_corner(
+    stats: ObservedStats, neg_z: float, neg_x: float, neg_zp: float, m: int, m_prime: int
+) -> Optional[Tuple[float, float, float, float, float]]:
+    """``_box_corner`` of the box with half-widths 2 eta from the exponents."""
+    return _box_corner(
+        stats.q_ab,
+        stats.q_x,
+        stats.q_z,
+        _eta(neg_z, 2, m),
+        _eta(neg_x, 2, m_prime),
+        _eta(neg_zp, 2, m),
+    )
+
+
+def _gamma_result(corner) -> GammaPEResult:
+    if corner is None:
+        return _INFEASIBLE_GAMMA
+    entropy, h_ab, p_ab, p_x, p_z = corner
     return GammaPEResult(
         value=entropy - h_ab,
         entropy_part=entropy,
         h_ab_part=h_ab,
-        witness=MarginalProbabilities(p_ab=p_ab_worst, p_x=px_hi, p_z=pz_lo),
+        witness=MarginalProbabilities(p_ab=p_ab, p_x=p_x, p_z=p_z),
         feasible=True,
     )
+
+
+def _infimum_over_box(
+    q_ab: list, q_x: float, q_z: float, eta_z: float, eta_x: float, eta_zp: float
+) -> GammaPEResult:
+    """``_box_corner`` as a ``GammaPEResult``."""
+    return _gamma_result(_box_corner(q_ab, q_x, q_z, eta_z, eta_x, eta_zp))
 
 
 def gamma_pe_infimum(
@@ -296,27 +357,96 @@ def gamma_pe_infimum(
     if stats.q_z is None:
         raise ValueError("six-state statistics require q_z")
     m, m_prime = counts
-    eta_z = eta_correction(budget.eps_z, 2, m)
-    eta_x = eta_correction(budget.eps_x, 2, m_prime)
-    eta_zp = eta_correction(budget.eps_z_prime, 2, m)
-    return _infimum_over_box(stats.q_ab, stats.q_x, stats.q_z, eta_z, eta_x, eta_zp)
+    if m < 1 or m_prime < 1:
+        raise ValueError(f"m and m' must be >= 1, got m={m}, m'={m_prime}")
+    _, neg_z, neg_x, neg_zp, _, _ = _negs(budget, Protocol.N_SIX_STATE)
+    return _gamma_result(_gamma_corner(stats, neg_z, neg_x, neg_zp, m, m_prime))
 
 
-def _pa_term(eps_rob: LogEps, eps_pa: LogEps) -> float:
+def _pa_term(neg_rob: float, neg_pa: float) -> float:
     # -2 log2((1 - eps_rob) / (2 eps_pa)); for eps_rob < 2^-53 this collapses
     # to -2 (eps_pa.neg_log2 - 1) exactly, as log2_one_minus returns -0.0-ish
-    return -2.0 * (log2_one_minus(eps_rob) + eps_pa.neg_log2 - 1.0)
+    return -2.0 * (_log2_one_minus(neg_rob) + neg_pa - 1.0)
 
 
-def _vacuous_result(terms: KeyLengthTerms, eps_tot: LogEps) -> KeyLengthResult:
+def _rob(neg_pe: float, parties: int) -> float:
+    """eps_rob = 2 (N-1) eps_PE, as an exponent."""
+    return neg_pe - math.log2(2.0 * (parties - 1))
+
+
+# what a key-length core returns: the KeyLengthTerms fields in order, the raw
+# and net lengths (-inf when vacuous), feasibility and the Gamma_PE witness
+_Length = Tuple[Tuple[float, ...], float, float, bool, Optional[Tuple[float, float, float]]]
+
+
+def _nbb84_length(
+    parties: int, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe: float
+) -> _Length:
+    z, x, ec, pa = negs
+    m, n, _ = _counts(Protocol.N_BB84, total_rounds, p)
+    xi_x = _xi(x, n, m)
+    xi_z = _xi(z, n, m)
+    h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * xi_x))
+    h_ab = max(binary_entropy(_clamp_half(q + 2.0 * xi_z)) for q in stats.q_ab)
+    neg_rob = _rob(neg_pe, parties)
+
+    min_entropy_term = n * (1.0 - h_x)
+    leakage_term = -n * h_ab
+    ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
+    preshared = total_rounds * binary_entropy(p)
+
+    if neg_rob <= 0.0:  # abort probability bound reaches 1
+        terms = (min_entropy_term, leakage_term, ec_log_term, -math.inf, 0.0, preshared)
+        return terms, -math.inf, -math.inf, False, None
+
+    pa_term = _pa_term(neg_rob, pa)
+    raw = min_entropy_term + leakage_term + ec_log_term + pa_term
+    terms = (min_entropy_term, leakage_term, ec_log_term, pa_term, 0.0, preshared)
+    return terms, raw, raw - preshared, True, None
+
+
+def _nsixstate_length(
+    parties: int, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe: float
+) -> _Length:
+    bar, z, x, zp, ec, pa = negs
+    m, n, m_prime = _counts(Protocol.N_SIX_STATE, total_rounds, p)
+    corner = _gamma_corner(stats, z, x, zp, m, m_prime)
+    neg_rob = _rob(neg_pe, parties)
+
+    ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
+    ps_penalty = -2.0 * postselection_exponent(parties) * math.log2(total_rounds + 1)
+    preshared = total_rounds * binary_entropy(p)
+
+    if corner is None or neg_rob <= 0.0:
+        terms = (math.nan, math.nan, ec_log_term, math.nan, ps_penalty, preshared)
+        return terms, -math.inf, -math.inf, False, None
+
+    entropy, h_ab, *witness = corner
+    # eps_rob < 1 forces eps_PE < 1/2, so log2(1/(2 eps_PE)) > 0 here
+    aep_min = 5.0 * math.sqrt(bar / n)
+    aep_leak = math.log2(5.0) * math.sqrt(2.0 * (neg_pe - 1.0) / n)
+
+    min_entropy_term = n * (entropy - aep_min)
+    leakage_term = -n * (h_ab + aep_leak)
+    pa_term = _pa_term(neg_rob, pa)
+
+    raw = min_entropy_term + leakage_term + ec_log_term + pa_term + ps_penalty
+    terms = (min_entropy_term, leakage_term, ec_log_term, pa_term, ps_penalty, preshared)
+    return terms, raw, raw - preshared, True, tuple(witness)
+
+
+def _key_length_result(length: _Length, neg_tot: float, total_rounds: int) -> KeyLengthResult:
+    terms, raw, net, feasible, witness = length
+    eps_tot = LogEps(neg_tot)
     return KeyLengthResult(
-        raw_length=-math.inf,
-        net_length=-math.inf,
-        rate=0.0,
-        terms=terms,
+        raw_length=raw,
+        net_length=net,
+        rate=max(net, 0.0) / total_rounds,
+        terms=KeyLengthTerms(*terms),
         eps_tot=eps_tot,
-        feasible=False,
+        feasible=feasible,
         eps_tot_vacuous=eps_tot.vacuous,
+        witness=None if witness is None else MarginalProbabilities(*witness),
     )
 
 
@@ -333,45 +463,13 @@ def key_length_nbb84(
     """
     if config.kind is not Protocol.N_BB84:
         raise ValueError(f"config is for {config.kind}, not N-BB84")
-    n_parties = config.parties
-    if len(stats.q_ab) != n_parties - 1:
-        raise ValueError("need one Q_AB entry per Bob")
-    m, n, _ = derive_counts(config)
-
-    xi_x = xi_correction(budget.eps_x, n, m)
-    xi_z = xi_correction(budget.eps_z, n, m)
-    h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * xi_x))
-    h_ab = max(binary_entropy(_clamp_half(q + 2.0 * xi_z)) for q in stats.q_ab)
-
-    eps_pe = epsilon_pe_nbb84(budget, n_parties)
-    eps_tot = epsilon_total_nbb84(budget, n_parties)
-    eps_rob = eps_sum([(2.0 * (n_parties - 1), eps_pe)])
-
-    min_entropy_term = n * (1.0 - h_x)
-    leakage_term = -n * h_ab
-    ec_log_term = -(1.0 + math.log2(n_parties - 1) + budget.eps_ec.neg_log2)
-    preshared = config.total_rounds * binary_entropy(config.second_type_prob)
-
-    if eps_rob.neg_log2 <= 0.0:  # abort probability bound reaches 1
-        terms = KeyLengthTerms(
-            min_entropy_term, leakage_term, ec_log_term, -math.inf, 0.0, preshared
-        )
-        return _vacuous_result(terms, eps_tot)
-
-    pa_term = _pa_term(eps_rob, budget.eps_pa)
-    raw = min_entropy_term + leakage_term + ec_log_term + pa_term
-    net = raw - preshared
-    terms = KeyLengthTerms(
-        min_entropy_term, leakage_term, ec_log_term, pa_term, 0.0, preshared
+    _check_stats(config.kind, config.parties, stats)
+    negs = _negs(budget, config.kind)
+    neg_pe, neg_tot = _compose_nbb84(negs, config.parties)
+    length = _nbb84_length(
+        config.parties, config.total_rounds, config.second_type_prob, stats, negs, neg_pe
     )
-    return KeyLengthResult(
-        raw_length=raw,
-        net_length=net,
-        rate=max(net, 0.0) / config.total_rounds,
-        terms=terms,
-        eps_tot=eps_tot,
-        eps_tot_vacuous=eps_tot.vacuous,
-    )
+    return _key_length_result(length, neg_tot, config.total_rounds)
 
 
 def key_length_nsixstate(
@@ -391,47 +489,10 @@ def key_length_nsixstate(
     """
     if config.kind is not Protocol.N_SIX_STATE:
         raise ValueError(f"config is for {config.kind}, not N-six-state")
-    budget.require_six_state()
-    n_parties = config.parties
-    if len(stats.q_ab) != n_parties - 1:
-        raise ValueError("need one Q_AB entry per Bob")
-    total = config.total_rounds
-    m, n, m_prime = derive_counts(config)
-
-    gamma = gamma_pe_infimum(stats, budget, (m, m_prime))
-    eps_pe = epsilon_pe_nsixstate(budget, n_parties)
-    eps_tot = epsilon_total_nsixstate(budget, n_parties, total)
-    eps_rob = eps_sum([(2.0 * (n_parties - 1), eps_pe)])
-
-    ec_log_term = -(1.0 + math.log2(n_parties - 1) + budget.eps_ec.neg_log2)
-    ps_penalty = -2.0 * postselection_exponent(n_parties) * math.log2(total + 1)
-    preshared = total * binary_entropy(config.second_type_prob)
-
-    if not gamma.feasible or eps_rob.neg_log2 <= 0.0:
-        terms = KeyLengthTerms(
-            math.nan, math.nan, ec_log_term, math.nan, ps_penalty, preshared
-        )
-        return _vacuous_result(terms, eps_tot)
-
-    # eps_rob < 1 forces eps_PE < 1/2, so log2(1/(2 eps_PE)) > 0 here
-    aep_min = 5.0 * math.sqrt(budget.eps_bar.neg_log2 / n)
-    aep_leak = math.log2(5.0) * math.sqrt(2.0 * (eps_pe.neg_log2 - 1.0) / n)
-
-    min_entropy_term = n * (gamma.entropy_part - aep_min)
-    leakage_term = -n * (gamma.h_ab_part + aep_leak)
-    pa_term = _pa_term(eps_rob, budget.eps_pa)
-
-    raw = min_entropy_term + leakage_term + ec_log_term + pa_term + ps_penalty
-    net = raw - preshared
-    terms = KeyLengthTerms(
-        min_entropy_term, leakage_term, ec_log_term, pa_term, ps_penalty, preshared
+    negs = _negs(budget, config.kind)
+    _check_stats(config.kind, config.parties, stats)
+    neg_pe, neg_tot = _compose_nsixstate(negs, config.parties, config.total_rounds)
+    length = _nsixstate_length(
+        config.parties, config.total_rounds, config.second_type_prob, stats, negs, neg_pe
     )
-    return KeyLengthResult(
-        raw_length=raw,
-        net_length=net,
-        rate=max(net, 0.0) / total,
-        terms=terms,
-        eps_tot=eps_tot,
-        eps_tot_vacuous=eps_tot.vacuous,
-        witness=gamma.witness,
-    )
+    return _key_length_result(length, neg_tot, config.total_rounds)

@@ -7,6 +7,11 @@ carried as ``neg_log2 = log2(1/eps)`` and never materialized unless it is
 safely representable.  All correction terms that need ln(1/eps) read the
 exponent directly.
 
+Each formula has one implementation on plain ``neg_log2`` floats (the
+private ``_sum_neg``, ``_xi``, ``_eta`` and ``_log2_one_minus``), which the
+rate optimizer's objective calls point by point; the public ``LogEps``
+functions validate their arguments and delegate to it.
+
 All functions here are pure and thread-safe.
 """
 
@@ -99,8 +104,12 @@ def xi_correction(eps: LogEps, n: int, m: int) -> float:
     """
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
+    return _xi(eps.neg_log2, n, m)
+
+
+def _xi(neg_log2: float, n: int, m: int) -> float:
     coeff = (n + m) * (m + 1) / (8.0 * n * m * m)
-    return math.sqrt(coeff * eps.ln_inv)
+    return math.sqrt(coeff * (neg_log2 * _LN2))
 
 
 def eta_correction(eps: LogEps, d: int, m: int) -> float:
@@ -115,7 +124,11 @@ def eta_correction(eps: LogEps, d: int, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    radicand = (eps.ln_inv + d * math.log(m + 1)) / (8.0 * m)
+    return _eta(eps.neg_log2, d, m)
+
+
+def _eta(neg_log2: float, d: int, m: int) -> float:
+    radicand = (neg_log2 * _LN2 + d * math.log(m + 1)) / (8.0 * m)
     if radicand < 0.0:
         raise ValueError("negative radicand: eps exceeds (m+1)^d")
     return math.sqrt(radicand)
@@ -127,20 +140,27 @@ def eps_sum(terms: Iterable[Tuple[float, LogEps]]) -> LogEps:
     Pivots the log-sum-exp on the largest weighted term so the result never
     underflows even when every input is far below 2^-1074.
     """
-    items = list(terms)
+    items = [(coeff, le.neg_log2) for coeff, le in terms]
     if not items:
         raise ValueError("eps_sum needs at least one term")
-    # neg_log2 of each weighted term c * eps
-    negs = []
-    for coeff, le in items:
+    for coeff, _ in items:
         if coeff <= 0.0:
             raise ValueError(f"coefficients must be positive, got {coeff}")
-        negs.append(le.neg_log2 - math.log2(coeff))
+    return LogEps(_sum_neg(items))
+
+
+def _sum_neg(terms: Iterable[Tuple[float, float]]) -> float:
+    """``eps_sum`` on (coefficient, neg_log2) pairs with positive coefficients."""
+    # neg_log2 of each weighted term c * eps
+    negs = [neg - math.log2(coeff) for coeff, neg in terms]
     pivot = min(negs)  # largest weighted epsilon
     acc = 0.0
     for neg in negs:
         acc += 2.0 ** (pivot - neg)
-    return LogEps(pivot - math.log2(acc))
+    total = pivot - math.log2(acc)
+    if math.isnan(total):  # infinite exponents on both sides of a term
+        raise ValueError("neg_log2 must not be NaN")
+    return total
 
 
 def eps_sqrt(eps: LogEps) -> LogEps:
@@ -155,8 +175,12 @@ def log2_one_minus(eps: LogEps) -> float:
     precision (and evaluates to -0.0 once eps underflows, which is the
     correctly rounded answer).
     """
-    if eps.neg_log2 <= 0.0:
+    return _log2_one_minus(eps.neg_log2)
+
+
+def _log2_one_minus(neg_log2: float) -> float:
+    if neg_log2 <= 0.0:
         raise ValueError("log2(1-eps) requires eps < 1")
-    if eps.neg_log2 > 53.0:
-        return -(2.0 ** (-eps.neg_log2)) / _LN2
-    return math.log1p(-eps.eps) / _LN2
+    if neg_log2 > 53.0:
+        return -(2.0 ** (-neg_log2)) / _LN2
+    return math.log1p(-(2.0 ** (-neg_log2))) / _LN2

@@ -12,25 +12,38 @@ searches, over softmax-transformed weights and log p.  Starts come from a
 scrambled Sobol sequence plus one deterministic equal-shares start, so the
 optimized rate can never fall below the equal-shares rate.  Same seed and
 search settings give bit-identical results.
+
+Each of the thousands of points an optimum visits is scored on plain floats:
+the budget split (``_split``) and the key-length terms run on ``neg_log2``
+exponents through the same private cores that ``allocate_budget`` and
+``key_length_*`` wrap, with every per-point check (share positivity and sum,
+p range, round counts, Gamma_PE feasibility, eps_rob, the correction
+passes).  ``BudgetShares``, ``SecurityBudget`` and ``KeyLengthResult`` are
+built once per optimum, for the point returned, through the public wrappers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.stats import qmc
 
 from .finite_key import (
+    BB84_COMPONENTS,
+    SIX_STATE_COMPONENTS,
     ConfigurationError,
     KeyLengthResult,
     Protocol,
     ProtocolConfig,
     SecurityBudget,
-    epsilon_total_nbb84,
-    epsilon_total_nsixstate,
+    _check_stats,
+    _compose_nbb84,
+    _compose_nsixstate,
+    _nbb84_length,
+    _nsixstate_length,
     key_length_nbb84,
     key_length_nsixstate,
     postselection_exponent,
@@ -51,9 +64,6 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-BB84_COMPONENTS = ("eps_z", "eps_x", "eps_ec", "eps_pa")
-SIX_STATE_COMPONENTS = ("eps_bar", "eps_z", "eps_x", "eps_z_prime", "eps_ec", "eps_pa")
-
 
 def budget_components(kind: Protocol) -> Tuple[str, ...]:
     return BB84_COMPONENTS if kind is Protocol.N_BB84 else SIX_STATE_COMPONENTS
@@ -67,12 +77,16 @@ class BudgetShares:
     weights: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(w <= 0.0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
-        if not 0.0 < self.p < 0.5:
-            raise ValueError(f"p must be in (0, 0.5), got {self.p}")
+        _check_shares(self.p, self.weights)
+
+
+def _check_shares(p: float, weights: Tuple[float, ...]) -> None:
+    if any(w <= 0.0 for w in weights):
+        raise ValueError("weights must be positive")
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"weights must sum to 1, got {sum(weights)}")
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"p must be in (0, 0.5), got {p}")
 
 
 @dataclass(frozen=True)
@@ -108,62 +122,75 @@ def allocate_budget(
     few ULPs if rounding ever pushed the composed total above the target;
     ValueError is raised if six passes still leave it above.
     """
-    w = dict(zip(budget_components(kind), shares.weights))
+    negs, _, _ = _split(kind, parties, total_rounds, target.neg_log2, shares.weights)
+    return SecurityBudget(
+        **{name: LogEps(neg) for name, neg in zip(budget_components(kind), negs)}
+    )
+
+
+def _split(
+    kind: Protocol,
+    parties: int,
+    total_rounds: int,
+    target: float,
+    weights: Tuple[float, ...],
+) -> Tuple[List[float], float, float]:
+    """``allocate_budget`` on exponents: (component exponents, eps_PE, eps_tot).
+
+    The components come in ``budget_components(kind)`` order; eps_PE and
+    eps_tot are the exponents they compose to.
+    """
     if kind is Protocol.N_BB84:
-        pair = w["eps_z"] + w["eps_x"]
-        neg_pe = target.neg_log2 - math.log2(pair / 2.0)
-        negs = {
-            "eps_z": 2.0 * neg_pe - math.log2(w["eps_z"] / (pair * (parties - 1))),
-            "eps_x": 2.0 * neg_pe - math.log2(w["eps_x"] / pair),
-            "eps_ec": target.neg_log2 - math.log2(w["eps_ec"]),
-            "eps_pa": target.neg_log2 - math.log2(w["eps_pa"]),
-        }
-        scale = {"eps_z": 2.0, "eps_x": 2.0, "eps_ec": 1.0, "eps_pa": 1.0}
+        w_z, w_x, w_ec, w_pa = weights
+        pair = w_z + w_x
+        neg_pe = target - math.log2(pair / 2.0)
+        negs = [
+            2.0 * neg_pe - math.log2(w_z / (pair * (parties - 1))),
+            2.0 * neg_pe - math.log2(w_x / pair),
+            target - math.log2(w_ec),
+            target - math.log2(w_pa),
+        ]
+        scale = (2.0, 2.0, 1.0, 1.0)
     else:
-        neg_inner = target.neg_log2 + postselection_exponent(parties) * math.log2(
-            total_rounds + 1
-        )
-        negs = {
-            "eps_bar": neg_inner - math.log2(w["eps_bar"] / 2.0),
-            "eps_z": neg_inner - math.log2(w["eps_z"] / (parties - 1)),
-            "eps_x": neg_inner - math.log2(w["eps_x"]),
-            "eps_z_prime": neg_inner - math.log2(w["eps_z_prime"]),
-            "eps_ec": neg_inner - math.log2(w["eps_ec"]),
-            "eps_pa": neg_inner - math.log2(w["eps_pa"]),
-        }
-        scale = {name: 1.0 for name in negs}
+        w_bar, w_z, w_x, w_zp, w_ec, w_pa = weights
+        neg_inner = target + postselection_exponent(parties) * math.log2(total_rounds + 1)
+        negs = [
+            neg_inner - math.log2(w_bar / 2.0),
+            neg_inner - math.log2(w_z / (parties - 1)),
+            neg_inner - math.log2(w_x),
+            neg_inner - math.log2(w_zp),
+            neg_inner - math.log2(w_ec),
+            neg_inner - math.log2(w_pa),
+        ]
+        scale = (1.0,) * len(negs)
 
-    def build() -> SecurityBudget:
-        return SecurityBudget(**{name: LogEps(neg) for name, neg in negs.items()})
-
-    def composed(budget: SecurityBudget) -> LogEps:
+    def composed() -> Tuple[float, float]:
         if kind is Protocol.N_BB84:
-            return epsilon_total_nbb84(budget, parties)
-        return epsilon_total_nsixstate(budget, parties, total_rounds)
+            return _compose_nbb84(negs, parties)
+        return _compose_nsixstate(negs, parties, total_rounds)
 
-    budget = build()
     for _ in range(6):
-        deficit = target.neg_log2 - composed(budget).neg_log2
+        neg_pe, neg_tot = composed()
+        deficit = target - neg_tot
         if deficit <= 0.0:
-            return budget
+            return negs, neg_pe, neg_tot
         # large six-state exponents make tiny bumps vanish in rounding, so
         # step by at least a few ULPs of the biggest component
-        bump = deficit + 4.0 * max(math.ulp(abs(v)) for v in negs.values())
-        for name in negs:
-            negs[name] += scale[name] * bump
-        budget = build()
-    deficit = target.neg_log2 - composed(budget).neg_log2
+        bump = deficit + 4.0 * max(math.ulp(abs(v)) for v in negs)
+        negs = [v + c * bump for v, c in zip(negs, scale)]
+    neg_pe, neg_tot = composed()
+    deficit = target - neg_tot
     if deficit > 0.0:
         raise ValueError(
             f"composed eps_tot exceeds the target by {deficit:.3g} bits "
             "after 6 correction passes"
         )
-    return budget
+    return negs, neg_pe, neg_tot
 
 
 def _softmax(theta: np.ndarray) -> Tuple[float, ...]:
-    z = np.exp(theta - np.max(theta))
-    return tuple(z / z.sum())
+    z = np.exp(theta - theta.max())
+    return tuple((z / z.sum()).tolist())
 
 
 def _golden_max(
@@ -210,27 +237,35 @@ def optimize_rate(
             f"L = {total_rounds} is too small for {kind.value} round bookkeeping"
         )
     lp_lo, lp_hi = math.log(p_min), math.log(p_max)
+    # parties, L and the statistics are the same at every point: check once
+    ProtocolConfig(kind, parties, total_rounds, p_max)
+    _check_stats(kind, parties, stats)
 
-    evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+    length = _nbb84_length if kind is Protocol.N_BB84 else _nsixstate_length
+    target = eps_tot_target.neg_log2
     evaluations = 0
 
-    def evaluate(theta: np.ndarray, lp: float):
+    def p_and_weights(theta: np.ndarray, lp: float) -> Tuple[float, Tuple[float, ...]]:
+        return math.exp(min(max(lp, lp_lo), lp_hi)), _softmax(theta)
+
+    def evaluate(theta: np.ndarray, lp: float) -> Optional[float]:
         # the signed net rate is the search objective: the zero-clamped rate
         # is flat over the whole infeasible region and gives line searches
-        # nothing to follow
+        # nothing to follow; None marks a point whose rounds cannot be split
         nonlocal evaluations
         evaluations += 1
-        p = math.exp(min(max(lp, lp_lo), lp_hi))
-        weights = _softmax(theta)
+        p, weights = p_and_weights(theta, lp)
+        _check_shares(p, weights)
         try:
-            config = ProtocolConfig(kind, parties, total_rounds, p)
-            budget = allocate_budget(
-                kind, parties, total_rounds, eps_tot_target, BudgetShares(p, weights)
-            )
-            result = evaluator(config, stats, budget)
+            negs, neg_pe, _ = _split(kind, parties, total_rounds, target, weights)
+            net = length(parties, total_rounds, p, stats, negs, neg_pe)[2]
         except ConfigurationError:
-            return -math.inf, None, None
-        return result.net_length / total_rounds, BudgetShares(p, weights), result
+            return None
+        return net / total_rounds
+
+    def objective(theta: np.ndarray, lp: float) -> float:
+        value = evaluate(theta, lp)
+        return -math.inf if value is None else value
 
     # start 0: equal shares; the rest from a scrambled Sobol sequence
     start_list = [(np.zeros(n_weights), math.log(min(max(0.05, p_min), p_max)))]
@@ -244,30 +279,27 @@ def optimize_rate(
         lp = lp_lo + row[n_weights] * (lp_hi - lp_lo)
         start_list.append((theta, lp))
 
-    best = (-math.inf, None, None)
+    best: Optional[Tuple[float, np.ndarray, float]] = None
 
-    def consider(candidate) -> None:
+    def consider(value: Optional[float], theta: np.ndarray, lp: float) -> None:
         nonlocal best
-        objective, shares, result = candidate
-        if result is None:
-            return
-        if best[2] is None or objective > best[0]:
-            best = (objective, shares, result)
+        if value is not None and (best is None or value > best[0]):
+            best = (value, theta.copy(), lp)
 
     for theta0, lp0 in start_list:
         theta = theta0.copy()
         lp = lp0
         start_budget = evaluations + cfg.max_evaluations
         first = evaluate(theta, lp)
-        consider(first)
-        current = first[0]
+        consider(first, theta, lp)
+        current = -math.inf if first is None else first
         first_sweep = True
         while evaluations < start_budget:
             improved = False
             # p first: it moves the round split, usually the strongest knob
             lo = lp_lo if first_sweep else max(lp - 0.7, lp_lo)
             hi = lp_hi if first_sweep else min(lp + 0.7, lp_hi)
-            x, fx = _golden_max(lambda v: evaluate(theta, v)[0], lo, hi, iters=18)
+            x, fx = _golden_max(lambda v: objective(theta, v), lo, hi, iters=18)
             if fx > current + 1e-12:
                 current, lp, improved = fx, x, True
             for i in range(n_weights):
@@ -277,7 +309,7 @@ def optimize_rate(
                 def along(v: float, i: int = i) -> float:
                     trial = theta.copy()
                     trial[i] = v
-                    return evaluate(trial, lp)[0]
+                    return objective(trial, lp)
 
                 x, fx = _golden_max(along, theta[i] - 2.0, theta[i] + 2.0, iters=16)
                 if fx > current + 1e-12:
@@ -287,13 +319,17 @@ def optimize_rate(
             first_sweep = False
             if not improved:
                 break
-        consider(evaluate(theta, lp))
+        consider(evaluate(theta, lp), theta, lp)
 
-    objective, shares, result = best
-    if result is None:
+    if best is None:
         raise ConfigurationError("no feasible configuration found")
+    value, theta, lp = best
+    shares = BudgetShares(*p_and_weights(theta, lp))
+    budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
+    evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+    result = evaluator(ProtocolConfig(kind, parties, total_rounds, shares.p), stats, budget)
     return OptimizedRate(
-        rate=max(objective, 0.0), shares=shares, result=result, evaluations=evaluations
+        rate=max(value, 0.0), shares=shares, result=result, evaluations=evaluations
     )
 
 

@@ -183,3 +183,25 @@ def test_validate_ec_toy(capsys):
     doc = json.loads(out)
     assert doc["report"]["pass"] is True
     assert doc["report"]["leakage_bits"] == 16
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_finite_shares_are_plain_numbers(capsys, fmt):
+    code, out = run_cli(
+        capsys,
+        ["finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e5,1e6",
+         "--starts", "2", "--max-evals", "300", "--format", fmt],
+    )
+    assert code == 0
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+    else:
+        lines = out.strip().splitlines()[2:]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        for col, k in (("shares_bb84", 4), ("shares_sixstate", 6)):
+            shares = [float(v) for v in row[col].split(";")]
+            assert len(shares) == k
+            assert abs(sum(shares) - 1.0) <= 1e-9

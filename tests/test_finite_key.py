@@ -25,6 +25,7 @@ from mpqkd.finite_key import (
 )
 from mpqkd.noise import ObservedStats
 from mpqkd.numerics import LogEps, binary_entropy, eps_sqrt, eps_sum
+from mpqkd.optimize import BudgetShares, allocate_budget, budget_components, stats_from_qab_global
 
 import oracles
 
@@ -551,3 +552,150 @@ class TestNetKeyLength:
         assert net_key_length(5000.0, 10**4, 0.05) == pytest.approx(
             2136.0304288404387, rel=1e-12
         )
+
+
+# ------------------------------------------------------------------ golden
+# Evaluator and budget-split outputs recorded with the per-object evaluators
+# that scored every optimizer point before the float cores.  The values are
+# reprs, so any change in the order of float operations shows up; the mpmath
+# oracles above stay the tolerance referees of the formulas themselves.
+
+BB, SIX = Protocol.N_BB84, Protocol.N_SIX_STATE
+
+# (id, kind, parties, L, p, stats, budget): budget is (eps_tot target, weights)
+# for allocate_budget, or the six component exponents used directly
+GOLDEN_CASES = [
+    ("bb84-N2-1e6", BB, 2, 10**6, 0.05, stats_from_qab_global(0.05, 2), (5e-9, (0.25, 0.25, 0.25, 0.25))),
+    ("bb84-N3-1e8", BB, 3, 10**8, 0.02, stats_from_qab_global(0.03, 3), (1e-10, (0.6, 0.3, 0.05, 0.05))),
+    ("bb84-N4-local", BB, 4, 10**7, 0.1, ObservedStats(q_ab=[0.01, 0.03, 0.02], q_x=0.04), (5e-9, (0.1, 0.2, 0.3, 0.4))),
+    ("bb84-N10-1e15", BB, 10, 10**15, 1e-4, stats_from_qab_global(0.02, 10), (1e-12, (0.4, 0.4, 0.1, 0.1))),
+    ("bb84-vacuous-rob", BB, 5, 10**6, 0.1, stats_from_qab_global(0.05, 5), (0.9, (0.25, 0.25, 0.25, 0.25))),
+    ("bb84-edge-shares", BB, 2, 10**9, 0.3, stats_from_qab_global(0.01, 2), (5e-9, (1e-12, 0.5, 0.5 - 2e-12, 1e-12))),
+    ("six-N2-1e8", SIX, 2, 10**8, 0.05, stats_from_qab_global(0.05, 2), (5e-9, (1 / 6,) * 6)),
+    ("six-N3-1e10", SIX, 3, 10**10, 0.01, stats_from_qab_global(0.03, 3), (1e-10, (0.3, 0.3, 0.2, 0.1, 0.05, 0.05))),
+    ("six-N4-1e12", SIX, 4, 10**12, 0.003, stats_from_qab_global(0.01, 4), (5e-9, (0.2, 0.2, 0.2, 0.2, 0.1, 0.1))),
+    ("six-N10-1e15", SIX, 10, 10**15, 1e-4, stats_from_qab_global(0.01, 10), (1e-12, (1 / 6,) * 6)),
+    ("six-empty-box", SIX, 2, 10**12, 0.1, ObservedStats(q_ab=[0.02], q_x=0.0, q_z=0.6), (5e-9, (1 / 6,) * 6)),
+    ("six-vacuous-rob", SIX, 3, 10**6, 0.1, stats_from_qab_global(0.05, 3), (1.0, 1.0, 1.0, 1.0, 30.0, 30.0)),
+    ("bb84-no-test-rounds", BB, 3, 10**3, 0.0005, stats_from_qab_global(0.05, 3), (5e-9, (0.25,) * 4)),
+    ("six-no-xparity-rounds", SIX, 2, 10, 0.15, stats_from_qab_global(0.05, 2), (5e-9, (1 / 6,) * 6)),
+]
+
+# per case: allocate_budget component exponents (None for a direct budget)
+# and raw, net, rate, terms, eps_tot, feasible, eps_tot_vacuous, witness
+GOLDEN = {'bb84-N2-1e6': (['60.150849518197795', '60.150849518197795', '29.575424759098897',
+                  '29.575424759098897'],
+                 ['234694.57728239716', '-51702.37983355907', '0.0',
+                  ['567391.1517783336', '-332608.84822166635', '-30.575424759098897',
+                   '-57.15084951098432', '0.0', '286396.95711595623'],
+                  '27.575424759098897', True, False, None]),
+ 'bb84-N3-1e8': (['70.32753058535852', '70.32753058535852', '37.541209043760986',
+                  '37.541209043760986'],
+                 ['55337555.21598998', '41193500.96180791', '0.41193500961807905',
+                  ['75668833.91980855', '-20331166.080191445', '-39.541209043760986',
+                   '-73.08241808700261', '0.0', '14144054.254182067'],
+                  '33.219280948873624', True, False, None]),
+ 'bb84-N4-local': (['63.794705707972525', '61.209743207251364', '29.312390353265105',
+                    '28.89735285398626'],
+                   ['4135304.734657248', '-554651.201235564', '0.0',
+                    ['5885928.501100478', '-1750536.0743846807', '-31.897352853986263',
+                     '-55.79470569498827', '0.0', '4689955.935892812'],
+                    '27.575424759098897', True, False, None]),
+ 'bb84-N10-1e15': (['86.54005546851373', '83.37013046707142', '43.18506523353571',
+                    '43.18506523353571'],
+                   ['716782864263212.2', '715309830734884.1', '0.7153098307348841',
+                    ['858292330543415.6', '-141509466280071.62', '-47.35499023497802',
+                     '-84.37013046705064', '0.0', '1473033528328.1597'],
+                    '39.86313713864835', True, False, None]),
+ 'bb84-vacuous-rob': (['7.3040061868901', '5.3040061868901', '2.15200309344505',
+                       '2.15200309344505'],
+                      ['-inf', '-inf', '0.0',
+                       ['555672.6203990617', '-246917.91851277876', '-5.15200309344505',
+                        '-inf', '0.0', '468995.5935892812'],
+                       '0.15200309344505003', False, False, None]),
+ 'bb84-edge-shares': (['98.01398665684326', '59.15084951819491', '28.575424759104667',
+                       '67.43856189774725'],
+                      ['333277063.79402655', '-548013835.4366663', '0.0',
+                       ['366769194.6920156', '-33491968.44544054', '-29.575424759104667',
+                        '-132.877123788281', '0.0', '881290899.2306927'],
+                       '27.575424759098897', True, False, None]),
+ 'six-N2-1e8': (['429.791758862708', '428.791758862708', '428.791758862708',
+                 '428.791758862708', '428.791758862708', '428.791758862708'],
+                ['36574961.43109811', '7935265.719502486', '0.07935265719502486',
+                 ['65142368.56132532', '-28565324.492207415', '-429.791758862708',
+                  '-855.583517725416', '-797.2627432057755', '28639695.711595625'],
+                 '27.57542475909912', True, False,
+                 ['0.05572770194793534', '0.058083061327030776', '0.04427229805206467']]),
+ 'six-N3-1e10': (['2128.770946331167', '2128.770946331167', '2128.3559088318884',
+                  '2129.3559088318884', '2130.3559088318884', '2130.3559088318884'],
+                 ['6351354280.369249', '5543422921.410137', '0.5543422921410137',
+                  ['8404755907.5150175', '-2053391050.4486425', '-2132.3559088318884',
+                   '-4258.711817663777', '-4185.629399576254', '807931358.9591118'],
+                  '33.2192809488738', True, False,
+                  ['0.032749902671927934', '0.03388679683621579', '0.042249728735085035']]),
+ 'six-N4-1e12': (['10195.997323209684', '10196.582285710405', '10194.997323209684',
+                  '10194.997323209684', '10195.997323209684', '10195.997323209684'],
+                 ['857493317577.0729', '828029265732.1506', '0.8280292657321506',
+                  ['945223308393.1804', '-87729939897.3307', '-10198.582285710405',
+                   '-20389.994646419367', '-20330.199940711394', '29464051844.92225'],
+                  '27.575424759099405', True, False,
+                  ['0.011088682385496304', '0.011539360377157823',
+                   '0.016411401711170823']]),
+ 'six-N10-1e15': (['52249404.72954738', '52249406.89947238', '52249403.72954738',
+                   '52249403.72954738', '52249403.72954738', '52249403.72954738'],
+                  ['658525862452329.0', '657052828924000.9', '0.6570528289240009',
+                   ['819676605880970.1', '-161150482181705.12', '-52249407.899472386',
+                    '-104498805.45909476', '-104498722.56289548', '1473033528328.1597'],
+                   '39.863137140870094', True, False,
+                   ['0.023456704599412643', '0.029030653207825455',
+                    '0.006504233308789936']]),
+ 'six-empty-box': (['629.107444339567', '628.107444339567', '628.107444339567',
+                    '628.107444339567', '628.107444339567', '628.107444339567'],
+                   ['-inf', '-inf', '0.0',
+                    ['nan', 'nan', '-629.107444339567', 'nan', '-1195.8941141594937',
+                     '468995593589.28125'],
+                    '27.57542475909895', False, False, None]),
+ 'six-vacuous-rob': (None,
+                     ['-inf', '-inf', '0.0',
+                      ['nan', 'nan', '-32.0', 'nan', '-2511.37782151433',
+                       '468995.5935892812'],
+                      '-1257.273873258782', False, True, None]),
+ 'bb84-no-test-rounds': (['61.150849518197795', '60.150849518197795', '29.575424759098897',
+                          '29.575424759098897'],
+                         'ConfigurationError: no test rounds: m = 0'),
+ 'six-no-xparity-rounds': (['83.05186153937957', '82.05186153937957', '82.05186153937957',
+                            '82.05186153937957', '82.05186153937957', '82.05186153937957'],
+                           "ConfigurationError: no accepted X-parity rounds: m' = 0")}
+
+
+def golden_outputs(kind, parties, total, p, stats, spec):
+    if isinstance(spec[1], tuple):
+        target, weights = spec
+        shares = BudgetShares(p, weights)
+        budget = allocate_budget(kind, parties, total, LogEps.from_eps(target), shares)
+        components = [repr(getattr(budget, name).neg_log2) for name in budget_components(kind)]
+    else:
+        budget = six_budget(*spec)
+        components = None
+    evaluator = key_length_nbb84 if kind is BB else key_length_nsixstate
+    try:
+        res = evaluator(ProtocolConfig(kind, parties, total, p), stats, budget)
+    except ConfigurationError as exc:
+        return components, f"ConfigurationError: {exc}"
+    w = res.witness
+    return components, [
+        repr(res.raw_length),
+        repr(res.net_length),
+        repr(res.rate),
+        [repr(v) for v in vars(res.terms).values()],
+        repr(res.eps_tot.neg_log2),
+        res.feasible,
+        res.eps_tot_vacuous,
+        None if w is None else [repr(w.p_ab), repr(w.p_x), repr(w.p_z)],
+    ]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_evaluator_outputs(case):
+    cid, *args = case
+    assert golden_outputs(*args) == GOLDEN[cid]

@@ -1,10 +1,14 @@
 """Budget allocation exactness, optimizer guarantees, threshold mechanics."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
 import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
@@ -14,12 +18,16 @@ from mpqkd.finite_key import (
     epsilon_total_nbb84,
     epsilon_total_nsixstate,
     key_length_nbb84,
+    key_length_nsixstate,
 )
 from mpqkd.noise import ObservedStats
 from mpqkd.numerics import LogEps
 from mpqkd.optimize import (
     BudgetShares,
+    OptimizedRate,
     SearchConfig,
+    _golden_max,
+    _softmax,
     _threshold_from_curve,
     allocate_budget,
     budget_components,
@@ -74,12 +82,13 @@ class TestAllocateBudget:
 
     @pytest.mark.parametrize("kind", list(Protocol))
     def test_raises_when_target_never_met(self, monkeypatch, kind):
-        # a composition stuck one bit above the target defeats every pass
+        # a composition stuck one bit above the target defeats every pass;
+        # the correction passes compose through the (eps_PE, eps_tot) cores
         def stuck(*args):
-            return LogEps(TARGET.neg_log2 - 1.0)
+            return TARGET.neg_log2, TARGET.neg_log2 - 1.0
 
-        monkeypatch.setattr(optimize, "epsilon_total_nbb84", stuck)
-        monkeypatch.setattr(optimize, "epsilon_total_nsixstate", stuck)
+        monkeypatch.setattr(optimize, "_compose_nbb84", stuck)
+        monkeypatch.setattr(optimize, "_compose_nsixstate", stuck)
         k = len(budget_components(kind))
         shares = BudgetShares(0.05, tuple([1.0 / k] * k))
         with pytest.raises(ValueError, match="exceeds the target by 1 bits"):
@@ -120,10 +129,159 @@ class TestOptimizeRate:
         opt = optimize_rate(Protocol.N_BB84, 2, 10**6, stats, TARGET, FAST)
         assert opt.result.eps_tot.neg_log2 >= TARGET.neg_log2 - 1e-9
 
+    @pytest.mark.parametrize("kind", list(Protocol))
+    @pytest.mark.parametrize("neg", [math.inf, -math.inf])
+    def test_non_finite_target_raises(self, kind, neg):
+        # inf - inf inside the log-domain sums is caught at the first point
+        stats = stats_from_qab_global(0.05, 2)
+        with pytest.raises(ValueError, match="NaN"):
+            optimize_rate(kind, 2, 10**6, stats, LogEps(neg), SearchConfig(50, 1, 0))
+
     def test_too_small_l_raises(self):
         stats = stats_from_qab_global(0.05, 2)
         with pytest.raises(ConfigurationError):
             optimize_rate(Protocol.N_SIX_STATE, 2, 4, stats, TARGET, FAST)
+
+
+def replay_optimize_rate(kind, parties, total_rounds, stats, eps_tot_target, cfg):
+    """Referee: the optimizer loop that builds every object at every point.
+
+    Each evaluation builds ``BudgetShares`` and a ``ProtocolConfig``, splits
+    the budget through the public ``allocate_budget`` and scores it with the
+    public ``key_length_*``; the starts, ``_softmax`` and the line searches
+    are those of ``optimize_rate``.
+    """
+    n_weights = len(budget_components(kind))
+    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
+    p_min = (m_min + 0.5) / total_rounds
+    p_max = 0.4999
+    if p_min >= p_max:
+        raise ConfigurationError(f"L = {total_rounds} is too small")
+    lp_lo, lp_hi = math.log(p_min), math.log(p_max)
+
+    evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+    evaluations = 0
+
+    def evaluate(theta, lp):
+        nonlocal evaluations
+        evaluations += 1
+        p = math.exp(min(max(lp, lp_lo), lp_hi))
+        weights = _softmax(theta)
+        try:
+            config = ProtocolConfig(kind, parties, total_rounds, p)
+            budget = allocate_budget(
+                kind, parties, total_rounds, eps_tot_target, BudgetShares(p, weights)
+            )
+            result = evaluator(config, stats, budget)
+        except ConfigurationError:
+            return -math.inf, None, None
+        return result.net_length / total_rounds, BudgetShares(p, weights), result
+
+    start_list = [(np.zeros(n_weights), math.log(min(max(0.05, p_min), p_max)))]
+    extra = max(cfg.starts - 1, 0)
+    points = np.empty((0, n_weights + 1))
+    if extra:
+        sobol = qmc.Sobol(d=n_weights + 1, scramble=True, seed=cfg.seed)
+        points = sobol.random_base2(m=max(1, math.ceil(math.log2(extra))))[:extra]
+    for row in points:
+        theta = 3.0 * (2.0 * row[:n_weights] - 1.0)
+        lp = lp_lo + row[n_weights] * (lp_hi - lp_lo)
+        start_list.append((theta, lp))
+
+    best = (-math.inf, None, None)
+
+    def consider(candidate):
+        nonlocal best
+        objective, shares, result = candidate
+        if result is not None and (best[2] is None or objective > best[0]):
+            best = (objective, shares, result)
+
+    for theta0, lp0 in start_list:
+        theta = theta0.copy()
+        lp = lp0
+        start_budget = evaluations + cfg.max_evaluations
+        first = evaluate(theta, lp)
+        consider(first)
+        current = first[0]
+        first_sweep = True
+        while evaluations < start_budget:
+            improved = False
+            lo = lp_lo if first_sweep else max(lp - 0.7, lp_lo)
+            hi = lp_hi if first_sweep else min(lp + 0.7, lp_hi)
+            x, fx = _golden_max(lambda v: evaluate(theta, v)[0], lo, hi, iters=18)
+            if fx > current + 1e-12:
+                current, lp, improved = fx, x, True
+            for i in range(n_weights):
+                if evaluations >= start_budget:
+                    break
+
+                def along(v, i=i):
+                    trial = theta.copy()
+                    trial[i] = v
+                    return evaluate(trial, lp)[0]
+
+                x, fx = _golden_max(along, theta[i] - 2.0, theta[i] + 2.0, iters=16)
+                if fx > current + 1e-12:
+                    current = fx
+                    theta[i] = x
+                    improved = True
+            first_sweep = False
+            if not improved:
+                break
+        consider(evaluate(theta, lp))
+
+    objective, shares, result = best
+    if result is None:
+        raise ConfigurationError("no feasible configuration found")
+    return OptimizedRate(max(objective, 0.0), shares, result, evaluations)
+
+
+def flat_fields(result):
+    """Every KeyLengthResult field, nested dataclasses flattened."""
+    out = []
+    for value in dataclasses.astuple(result):
+        out.extend(value if isinstance(value, tuple) else [value])
+    return out
+
+
+def same_value(a, b):
+    # NaN-aware equality: vacuous six-state terms are NaN on both sides
+    return a == b or (a != a and b != b)
+
+
+class TestReplayReferee:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 6),
+        log10_rounds=st.floats(3.0, 12.0),
+        q_ab=st.floats(0.01, 0.12),
+        seed=st.integers(0, 2**16),
+        max_evaluations=st.integers(20, 400),
+        starts=st.integers(1, 3),
+        target_neg=st.floats(0.2, 60.0),
+    )
+    def test_optimum_matches_per_object_replay(
+        self, kind, parties, log10_rounds, q_ab, seed, max_evaluations, starts, target_neg
+    ):
+        # loose targets make N-BB84 points vacuous (eps_rob >= 1)
+        target = LogEps(target_neg)
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        cfg = SearchConfig(max_evaluations, starts, seed)
+        try:
+            expected = replay_optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+            return
+        got = optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+        assert got.rate == expected.rate
+        assert got.shares == expected.shares
+        assert got.evaluations == expected.evaluations
+        pairs = list(zip(flat_fields(got.result), flat_fields(expected.result)))
+        assert len(pairs) == len(flat_fields(expected.result)) > 0
+        assert all(same_value(a, b) for a, b in pairs), pairs
 
 
 class TestThresholdFromCurve:
