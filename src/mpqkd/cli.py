@@ -5,6 +5,10 @@ Every output embeds the fully resolved parameter set (flags merged over an
 optional JSON config file, defaults filled in) plus the seed, so identical
 inputs reproduce byte-identical files.
 
+Each command is one table of ``Option`` rows: the parser builds its flags
+from the table, and the same rows give the defaults, the known config keys
+and the checks a config-file value must pass.
+
 Exit codes: 0 success, 2 usage error, 3 validation failure.
 """
 
@@ -14,7 +18,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .finite_key import ConfigurationError, Protocol, ProtocolConfig
 from .noise import NoiseModel, NoiseScenario, expected_observed_stats, marginal_probabilities
@@ -27,6 +32,25 @@ SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 VALIDATION_FAILURE = 3
+
+
+@dataclass(frozen=True)
+class Option:
+    """One flag ``--key`` and config key ``key``; ``type`` str marks lists, grids and names."""
+
+    key: str
+    default: object
+    help: Optional[str] = None
+    type: Callable = str
+    choices: Optional[Sequence[str]] = None
+
+
+@dataclass(frozen=True)
+class Command:
+    word: str  # the sub-command on the command line
+    name: str  # echoed as "command" in every output
+    run: Callable[[Dict], int]  # its docstring is the sub-command's help line
+    options: Tuple[Option, ...]
 
 
 def _die_usage(message: str) -> "SystemExit":
@@ -68,30 +92,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _echoed(config: Dict) -> Dict:
+def _write(config: Dict, section: str, body, columns: Sequence[str] = ()) -> None:
+    """Rows (``section`` "rows") as CSV or JSON per the format key; reports as JSON."""
     # the destination path plays no part in the computation
-    return {k: v for k, v in config.items() if k != "out"}
-
-
-def _emit(config: Dict, columns: List[str], rows: List[Dict], args) -> None:
-    fmt = config.get("format", "csv")
-    if fmt == "json":
+    echoed = {k: v for k, v in config.items() if k != "out"}
+    if config.get("format") == "csv":
+        lines = [
+            f"# mpqkd schema {SCHEMA_VERSION}",
+            "# config " + json.dumps(echoed, sort_keys=True),
+            ",".join(columns),
+        ]
+        for row in body:
+            lines.append(",".join(_fmt(row[c]) for c in columns))
+        text = "\n".join(lines) + "\n"
+    else:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": config["command"],
-            "config": _echoed(config),
-            "rows": rows,
+            "config": echoed,
+            section: body,
         }
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [
-            f"# mpqkd schema {SCHEMA_VERSION}",
-            "# config " + json.dumps(_echoed(config), sort_keys=True),
-            ",".join(columns),
-        ]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
     out = config.get("out")
     if out:
         with open(out, "w") as fh:
@@ -100,36 +121,44 @@ def _emit(config: Dict, columns: List[str], rows: List[Dict], args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(config: Dict, report: Dict, args) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": config["command"],
-        "config": _echoed(config),
-        "report": report,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out = config.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _check(option: Option, value) -> None:
+    """Hold a config-file value to the checks argparse applies to the flag."""
+    if option.type is str:
+        # lists and grids are parsed from text; only an unset path may be null
+        ok = isinstance(value, str) or (value is None and option.default is None)
     else:
-        sys.stdout.write(text)
+        try:
+            option.type(value)
+            ok = True
+        except (TypeError, ValueError):
+            ok = False
+    where = f"config key {option.key!r}"
+    if not ok:
+        raise _die_usage(f"{where}: invalid {option.type.__name__} value: {value!r}")
+    if option.choices is not None and value not in option.choices:
+        raise _die_usage(f"{where}: {value!r} is not one of {list(option.choices)}")
 
 
-def _resolve(args: argparse.Namespace, defaults: Dict) -> Dict:
+def _resolve(args: argparse.Namespace, command: Command) -> Dict:
     """Defaults < config file < explicit flags, echoed back in every output."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    resolved = {"command": command.name}
+    resolved.update((opt.key, opt.default) for opt in command.options)
+    if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
-        unknown = set(file_conf) - set(defaults)
+        if not isinstance(file_conf, dict):
+            raise _die_usage(f"config file {args.config} must hold a JSON object")
+        table = {opt.key: opt for opt in command.options}
+        unknown = set(file_conf) - set(table)
         if unknown:
             raise _die_usage(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_conf.items():
+            _check(table[key], value)
         resolved.update(file_conf)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
+    for opt in command.options:
+        value = getattr(args, opt.key.replace("-", "_"))
         if value is not None:
-            resolved[key] = value
+            resolved[opt.key] = value
     return resolved
 
 
@@ -141,16 +170,16 @@ def _search_config(resolved: Dict) -> SearchConfig:
     )
 
 
-def cmd_asymptotic(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "asymptotic",
-        "model": "global",
-        "parties": "2,5",
-        "qab": "0.0:0.12:25",
-        "format": "csv",
-        "out": None,
-    }
-    conf = _resolve(args, defaults)
+OUT = Option("out", None, "output path (default: stdout)")
+FORMAT = Option("format", "csv", "output format", choices=("csv", "json"))
+MODEL = Option("model", "global", choices=("global", "local"))
+SEED = Option("seed", 0, type=int)
+SEARCH = (SEED, Option("starts", 8, type=int), Option("max-evals", 5000, type=int))
+TRIALS = Option("trials", 100_000, type=int)
+
+
+def cmd_asymptotic(conf: Dict) -> int:
+    """asymptotic rate curves"""
     model = _model(conf["model"])
     rows = []
     for parties in _parse_int_list(conf["parties"]):
@@ -169,25 +198,21 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
                 }
             )
     rows.sort(key=lambda r: (r["parties"], r["p_ab"]))
-    _emit(conf, ["model", "parties", "p_ab", "rate_bb84", "rate_sixstate"], rows, args)
+    _write(conf, "rows", rows, ["model", "parties", "p_ab", "rate_bb84", "rate_sixstate"])
     return 0
 
 
-def cmd_finite(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "finite",
-        "model": "global",
-        "parties": "2",
-        "qab": "0.05",
-        "rounds": "1e5:1e10:11",
-        "eps-tot": 5e-9,
-        "seed": 0,
-        "starts": 8,
-        "max-evals": 5000,
-        "format": "csv",
-        "out": None,
-    }
-    conf = _resolve(args, defaults)
+ASYMPTOTIC = (
+    MODEL,
+    Option("parties", "2,5", "comma list, e.g. 2,5,8"),
+    Option("qab", "0.0:0.12:25", "grid lo:hi:steps or comma list"),
+    OUT,
+    FORMAT,
+)
+
+
+def cmd_finite(conf: Dict) -> int:
+    """optimized finite-key rates over L"""
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
     q_ab = float(conf["qab"])
@@ -220,24 +245,24 @@ def cmd_finite(args: argparse.Namespace) -> int:
         "shares_bb84",
         "shares_sixstate",
     ]
-    _emit(conf, columns, rows, args)
+    _write(conf, "rows", rows, columns)
     return 0
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "threshold",
-        "qab": "0.05",
-        "parties": "2",
-        "eps-tot": 5e-9,
-        "lmax": 1e14,
-        "seed": 0,
-        "starts": 8,
-        "max-evals": 5000,
-        "format": "csv",
-        "out": None,
-    }
-    conf = _resolve(args, defaults)
+FINITE = (
+    MODEL,
+    Option("parties", "2", "comma list of party counts"),
+    Option("qab", "0.05", "observed Q_AB (other stats via the model)"),
+    Option("rounds", "1e5:1e10:11", "L grid lo:hi:steps (log-spaced) or comma list"),
+    Option("eps-tot", 5e-9, "total security parameter", type=float),
+    *SEARCH,
+    OUT,
+    FORMAT,
+)
+
+
+def cmd_threshold(conf: Dict) -> int:
+    """six-state/BB84 crossover round counts"""
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
     rows = []
@@ -248,171 +273,189 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             )
             rows.append({"q_ab": q_ab, "parties": parties, "threshold_rounds": lbar})
     rows.sort(key=lambda r: (r["parties"], r["q_ab"]))
-    _emit(conf, ["q_ab", "parties", "threshold_rounds"], rows, args)
+    _write(conf, "rows", rows, ["q_ab", "parties", "threshold_rounds"])
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "simulate-rounds",
-        "model": "global",
-        "noise": 0.1,
-        "parties": 3,
-        "protocol": "n-six-state",
-        "rounds": 1_000_000,
-        "p": 0.25,
-        "seed": 0,
-        "out": None,
-    }
-    conf = _resolve(args, defaults)
+THRESHOLD = (
+    Option("qab", "0.05", "comma list of Q_AB values"),
+    Option("parties", "2", "comma list of party counts"),
+    Option("eps-tot", 5e-9, type=float),
+    Option("lmax", 1e14, type=float),
+    *SEARCH,
+    OUT,
+    FORMAT,
+)
+
+
+def cmd_simulate(conf: Dict) -> int:
+    """Monte Carlo protocol rounds"""
     scenario = NoiseScenario(_model(conf["model"]), nu=float(conf["noise"]), parties=int(conf["parties"]))
     config = ProtocolConfig(
         Protocol(conf["protocol"]), int(conf["parties"]), int(float(conf["rounds"])), float(conf["p"])
     )
     report = simulate_rounds(scenario, config, seed=int(conf["seed"]))
-    _emit_report(
-        conf,
-        {
-            "ab_errors": list(report.ab_errors),
-            "ab_rounds": report.ab_rounds,
-            "x_errors": report.x_errors,
-            "x_rounds": report.x_rounds,
-            "z_errors": report.z_errors,
-            "z_rounds": report.z_rounds,
-            "key_rounds": report.key_rounds,
-            "q_ab": report.q_ab,
-            "q_x": report.q_x,
-            "q_z": report.q_z,
-            "seed": report.seed,
-        },
-        args,
-    )
+    rates = {"q_ab": report.q_ab, "q_x": report.q_x, "q_z": report.q_z}
+    _write(conf, "report", {**asdict(report), **rates})
     return 0
+
+
+SIMULATE = (
+    MODEL,
+    Option("noise", 0.1, "depolarizing strength nu", type=float),
+    Option("parties", 3, type=int),
+    Option("protocol", "n-six-state", choices=[k.value for k in Protocol]),
+    Option("rounds", 1_000_000, type=float),
+    Option("p", 0.25, "second-type round probability", type=float),
+    SEED,
+    OUT,
+)
 
 
 def _sigma(bound: float, trials: int) -> float:
     return math.sqrt(bound * (1.0 - bound) / trials)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    check = args.check
-    if check == "marginals":
-        defaults = {
-            "command": "validate-marginals",
-            "tol": 1e-12,
-            "out": None,
-        }
-        conf = _resolve(args, defaults)
-        tol = float(conf["tol"])
-        cases = []
-        worst = 0.0
-        for model in (NoiseModel.GLOBAL_DEPOLARIZING, NoiseModel.LOCAL_DEPOLARIZING):
-            for parties in (2, 3, 4):
-                for nu in (0.0, 0.1, 0.5, 1.0):
-                    scenario = NoiseScenario(model, nu, parties)
-                    closed = marginal_probabilities(scenario)
-                    dense = exact_marginals(scenario)
-                    err = max(
-                        abs(closed.p_ab - dense.p_ab),
-                        abs(closed.p_x - dense.p_x),
-                        abs(closed.p_z - dense.p_z),
-                    )
-                    worst = max(worst, err)
-                    cases.append(
-                        {
-                            "model": model.value,
-                            "parties": parties,
-                            "nu": nu,
-                            "max_abs_error": err,
-                            "pass": err <= tol,
-                        }
-                    )
-        ok = all(c["pass"] for c in cases)
-        _emit_report(conf, {"cases": cases, "worst_error": worst, "pass": ok}, args)
-        return 0 if ok else VALIDATION_FAILURE
+def cmd_marginals(conf: Dict) -> int:
+    """closed-form marginals against the dense state"""
+    tol = float(conf["tol"])
+    cases = []
+    worst = 0.0
+    for model in (NoiseModel.GLOBAL_DEPOLARIZING, NoiseModel.LOCAL_DEPOLARIZING):
+        for parties in (2, 3, 4):
+            for nu in (0.0, 0.1, 0.5, 1.0):
+                scenario = NoiseScenario(model, nu, parties)
+                closed = marginal_probabilities(scenario)
+                dense = exact_marginals(scenario)
+                err = max(
+                    abs(closed.p_ab - dense.p_ab),
+                    abs(closed.p_x - dense.p_x),
+                    abs(closed.p_z - dense.p_z),
+                )
+                worst = max(worst, err)
+                cases.append(
+                    {
+                        "model": model.value,
+                        "parties": parties,
+                        "nu": nu,
+                        "max_abs_error": err,
+                        "pass": err <= tol,
+                    }
+                )
+    ok = all(c["pass"] for c in cases)
+    _write(conf, "report", {"cases": cases, "worst_error": worst, "pass": ok})
+    return 0 if ok else VALIDATION_FAILURE
 
-    if check == "sampling-lemma":
-        defaults = {
-            "command": "validate-sampling-lemma",
-            "bits": 2000,
-            "sample": 1000,
-            "weight": 100,
-            "eps": 0.01,
-            "trials": 100_000,
-            "seed": 0,
-            "out": None,
-        }
-        conf = _resolve(args, defaults)
-        report = sampling_lemma_experiment(
-            int(conf["bits"]),
-            int(conf["sample"]),
-            int(conf["weight"]),
-            int(conf["trials"]),
-            LogEps.from_eps(float(conf["eps"])),
-            int(conf["seed"]),
-        )
-        trials = report.trials
-        checks = {
-            "two_sided": (report.freq_two_sided, report.bound_two_sided),
-            "upper": (report.freq_upper, report.bound_one_sided),
-            "lower": (report.freq_lower, report.bound_one_sided),
-        }
-        results = {
-            name: {
-                "frequency": freq,
-                "bound": bound,
-                "limit": bound + 3.0 * _sigma(bound, trials),
-                "pass": freq <= bound + 3.0 * _sigma(bound, trials),
-            }
-            for name, (freq, bound) in checks.items()
-        }
-        ok = all(r["pass"] for r in results.values())
-        _emit_report(conf, {"checks": results, "trials": trials, "seed": report.seed, "pass": ok}, args)
-        return 0 if ok else VALIDATION_FAILURE
 
-    if check == "ec-toy":
-        defaults = {
-            "command": "validate-ec-toy",
-            "parties": 3,
-            "key-bits": 12,
-            "q": 0.05,
-            "eps-ec": 2.0**-6,
-            "radius": 3,
-            "trials": 100_000,
-            "seed": 0,
-            "out": None,
-        }
-        conf = _resolve(args, defaults)
-        eps_ec = LogEps.from_eps(float(conf["eps-ec"]))
-        report = ec_toy_run(
-            int(conf["parties"]),
-            int(conf["key-bits"]),
-            float(conf["q"]),
-            eps_ec,
-            int(conf["radius"]),
-            int(conf["trials"]),
-            int(conf["seed"]),
-        )
-        limit = eps_ec.eps + 3.0 * _sigma(eps_ec.eps, report.trials)
-        ok = report.failure_freq <= limit
-        _emit_report(
-            conf,
-            {
-                "failure_freq": report.failure_freq,
-                "abort_freq": report.abort_freq,
-                "leakage_bits": report.leakage_bits,
-                "degenerate": report.degenerate,
-                "bound": eps_ec.eps,
-                "limit": limit,
-                "trials": report.trials,
-                "seed": report.seed,
-                "pass": ok,
-            },
-            args,
-        )
-        return 0 if ok else VALIDATION_FAILURE
+MARGINALS = (Option("tol", 1e-12, "tolerance", type=float), OUT)
 
-    raise _die_usage(f"unknown validation check {check!r}")
+
+def cmd_sampling_lemma(conf: Dict) -> int:
+    """sampling-lemma tail frequencies against their bounds"""
+    report = sampling_lemma_experiment(
+        int(conf["bits"]),
+        int(conf["sample"]),
+        int(conf["weight"]),
+        int(conf["trials"]),
+        LogEps.from_eps(float(conf["eps"])),
+        int(conf["seed"]),
+    )
+    trials = report.trials
+    checks = {
+        "two_sided": (report.freq_two_sided, report.bound_two_sided),
+        "upper": (report.freq_upper, report.bound_one_sided),
+        "lower": (report.freq_lower, report.bound_one_sided),
+    }
+    results = {
+        name: {
+            "frequency": freq,
+            "bound": bound,
+            "limit": bound + 3.0 * _sigma(bound, trials),
+            "pass": freq <= bound + 3.0 * _sigma(bound, trials),
+        }
+        for name, (freq, bound) in checks.items()
+    }
+    ok = all(r["pass"] for r in results.values())
+    _write(conf, "report", {"checks": results, "trials": trials, "seed": report.seed, "pass": ok})
+    return 0 if ok else VALIDATION_FAILURE
+
+
+SAMPLING_LEMMA = (
+    Option("bits", 2000, "string length M", type=int),
+    Option("sample", 1000, "sample size m", type=int),
+    Option("weight", 100, "Hamming weight", type=int),
+    Option("eps", 0.01, "epsilon", type=float),
+    TRIALS,
+    SEED,
+    OUT,
+)
+
+
+def cmd_ec_toy(conf: Dict) -> int:
+    """toy error-correction failure rate against eps_EC"""
+    eps_ec = LogEps.from_eps(float(conf["eps-ec"]))
+    report = ec_toy_run(
+        int(conf["parties"]),
+        int(conf["key-bits"]),
+        float(conf["q"]),
+        eps_ec,
+        int(conf["radius"]),
+        int(conf["trials"]),
+        int(conf["seed"]),
+    )
+    limit = eps_ec.eps + 3.0 * _sigma(eps_ec.eps, report.trials)
+    ok = report.failure_freq <= limit
+    _write(
+        conf,
+        "report",
+        {
+            "failure_freq": report.failure_freq,
+            "abort_freq": report.abort_freq,
+            "leakage_bits": report.leakage_bits,
+            "degenerate": report.degenerate,
+            "bound": eps_ec.eps,
+            "limit": limit,
+            "trials": report.trials,
+            "seed": report.seed,
+            "pass": ok,
+        },
+    )
+    return 0 if ok else VALIDATION_FAILURE
+
+
+EC_TOY = (
+    Option("parties", 3, type=int),
+    Option("key-bits", 12, type=int),
+    Option("q", 0.05, "channel flip rate", type=float),
+    Option("eps-ec", 2.0**-6, type=float),
+    Option("radius", 3, type=int),
+    TRIALS,
+    SEED,
+    OUT,
+)
+
+
+COMMANDS = (
+    Command("asymptotic", "asymptotic", cmd_asymptotic, ASYMPTOTIC),
+    Command("finite", "finite", cmd_finite, FINITE),
+    Command("threshold", "threshold", cmd_threshold, THRESHOLD),
+    Command("simulate", "simulate-rounds", cmd_simulate, SIMULATE),
+)
+
+VALIDATE_CHECKS = (
+    Command("marginals", "validate-marginals", cmd_marginals, MARGINALS),
+    Command("sampling-lemma", "validate-sampling-lemma", cmd_sampling_lemma, SAMPLING_LEMMA),
+    Command("ec-toy", "validate-ec-toy", cmd_ec_toy, EC_TOY),
+)
+
+
+def _add_command(sub, command: Command) -> None:
+    p = sub.add_parser(command.word, help=command.run.__doc__)
+    for opt in command.options:
+        if opt is OUT:  # --config sits just above the output flags in --help
+            p.add_argument("--config", help="JSON file with defaults for this command")
+        p.add_argument(f"--{opt.key}", type=opt.type, choices=opt.choices, help=opt.help)
+    p.set_defaults(command=command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,81 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-key and asymptotic rates for multipartite QKD protocols",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser, fmt: bool = True) -> None:
-        p.add_argument("--config", help="JSON file with defaults for this command")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if fmt:
-            p.add_argument("--format", choices=["csv", "json"], help="output format")
-
-    p_asym = sub.add_parser("asymptotic", help="asymptotic rate curves")
-    p_asym.add_argument("--model", choices=["global", "local"])
-    p_asym.add_argument("--parties", help="comma list, e.g. 2,5,8")
-    p_asym.add_argument("--qab", help="grid lo:hi:steps or comma list")
-    common(p_asym)
-    p_asym.set_defaults(func=cmd_asymptotic)
-
-    p_fin = sub.add_parser("finite", help="optimized finite-key rates over L")
-    p_fin.add_argument("--model", choices=["global", "local"])
-    p_fin.add_argument("--parties", help="comma list of party counts")
-    p_fin.add_argument("--qab", help="observed Q_AB (other stats via the model)")
-    p_fin.add_argument("--rounds", help="L grid lo:hi:steps (log-spaced) or comma list")
-    p_fin.add_argument("--eps-tot", type=float, help="total security parameter")
-    p_fin.add_argument("--seed", type=int)
-    p_fin.add_argument("--starts", type=int)
-    p_fin.add_argument("--max-evals", type=int)
-    common(p_fin)
-    p_fin.set_defaults(func=cmd_finite)
-
-    p_thr = sub.add_parser("threshold", help="six-state/BB84 crossover round counts")
-    p_thr.add_argument("--qab", help="comma list of Q_AB values")
-    p_thr.add_argument("--parties", help="comma list of party counts")
-    p_thr.add_argument("--eps-tot", type=float)
-    p_thr.add_argument("--lmax", type=float)
-    p_thr.add_argument("--seed", type=int)
-    p_thr.add_argument("--starts", type=int)
-    p_thr.add_argument("--max-evals", type=int)
-    common(p_thr)
-    p_thr.set_defaults(func=cmd_threshold)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo protocol rounds")
-    p_sim.add_argument("--model", choices=["global", "local"])
-    p_sim.add_argument("--noise", type=float, help="depolarizing strength nu")
-    p_sim.add_argument("--parties", type=int)
-    p_sim.add_argument("--protocol", choices=[k.value for k in Protocol])
-    p_sim.add_argument("--rounds", type=float)
-    p_sim.add_argument("--p", type=float, help="second-type round probability")
-    p_sim.add_argument("--seed", type=int)
-    common(p_sim, fmt=False)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_val = sub.add_parser("validate", help="oracle-band validation experiments")
-    p_val.add_argument("check", choices=["marginals", "sampling-lemma", "ec-toy"])
-    p_val.add_argument("--tol", type=float, help="marginals: tolerance")
-    p_val.add_argument("--bits", type=int, help="sampling-lemma: string length M")
-    p_val.add_argument("--sample", type=int, help="sampling-lemma: sample size m")
-    p_val.add_argument("--weight", type=int, help="sampling-lemma: Hamming weight")
-    p_val.add_argument("--eps", type=float, help="sampling-lemma: epsilon")
-    p_val.add_argument("--parties", type=int)
-    p_val.add_argument("--key-bits", type=int)
-    p_val.add_argument("--q", type=float, help="ec-toy: channel flip rate")
-    p_val.add_argument("--eps-ec", type=float)
-    p_val.add_argument("--radius", type=int)
-    p_val.add_argument("--trials", type=int)
-    p_val.add_argument("--seed", type=int)
-    common(p_val, fmt=False)
-    p_val.set_defaults(func=cmd_validate)
-
+    for command in COMMANDS:
+        _add_command(sub, command)
+    validate = sub.add_parser("validate", help="oracle-band validation experiments")
+    checks = validate.add_subparsers(dest="check", required=True)
+    for command in VALIDATE_CHECKS:
+        _add_command(checks, command)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        return args.command.run(_resolve(args, args.command))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -42,6 +42,7 @@ __all__ = [
     "GammaPEResult",
     "RoundCounts",
     "ConfigurationError",
+    "budget_components",
     "derive_counts",
     "epsilon_pe_nbb84",
     "epsilon_pe_nsixstate",
@@ -138,13 +139,14 @@ BB84_COMPONENTS = ("eps_z", "eps_x", "eps_ec", "eps_pa")
 SIX_STATE_COMPONENTS = ("eps_bar", "eps_z", "eps_x", "eps_z_prime", "eps_ec", "eps_pa")
 
 
+def budget_components(kind: Protocol) -> Tuple[str, ...]:
+    return BB84_COMPONENTS if kind is Protocol.N_BB84 else SIX_STATE_COMPONENTS
+
+
 def _negs(budget: SecurityBudget, kind: Protocol) -> Tuple[float, ...]:
-    if kind is Protocol.N_BB84:
-        names = BB84_COMPONENTS
-    else:
+    if kind is not Protocol.N_BB84:
         budget.require_six_state()
-        names = SIX_STATE_COMPONENTS
-    return tuple(getattr(budget, name).neg_log2 for name in names)
+    return tuple(getattr(budget, name).neg_log2 for name in budget_components(kind))
 
 
 def _compose_nbb84(negs, parties: int) -> Tuple[float, float]:

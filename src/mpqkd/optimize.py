@@ -32,8 +32,6 @@ import numpy as np
 from scipy.stats import qmc
 
 from .finite_key import (
-    BB84_COMPONENTS,
-    SIX_STATE_COMPONENTS,
     ConfigurationError,
     KeyLengthResult,
     Protocol,
@@ -44,6 +42,7 @@ from .finite_key import (
     _compose_nsixstate,
     _nbb84_length,
     _nsixstate_length,
+    budget_components,
     key_length_nbb84,
     key_length_nsixstate,
     postselection_exponent,
@@ -63,10 +62,6 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def budget_components(kind: Protocol) -> Tuple[str, ...]:
-    return BB84_COMPONENTS if kind is Protocol.N_BB84 else SIX_STATE_COMPONENTS
 
 
 @dataclass(frozen=True)

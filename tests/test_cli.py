@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +206,74 @@ def test_finite_shares_are_plain_numbers(capsys, fmt):
             shares = [float(v) for v in row[col].split(";")]
             assert len(shares) == k
             assert abs(sum(shares) - 1.0) <= 1e-9
+
+
+# Exit codes and exact stdout of cheap runs of every command, recorded before
+# the commands were rebuilt from option tables. Regenerate only for an
+# intended change of the output format.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_stdout_bytes(capsys, case):
+    code, out = run_cli(capsys, case["argv"])
+    assert code == case["exit"]
+    assert out.encode() == case["stdout"].encode()
+
+
+@pytest.mark.parametrize(
+    "command, conf, key",
+    [
+        ("asymptotic", {"model": "Global"}, "model"),  # outside the flag's choices
+        ("asymptotic", {"format": "xml"}, "format"),
+        ("asymptotic", {"command": "finite"}, "command"),  # not a settable key
+        ("asymptotic", {"parties": 2}, "parties"),  # lists are parsed from text
+        ("finite", {"seed": "abc"}, "seed"),  # rejected by the flag's type
+    ],
+)
+def test_config_value_checked_like_its_flag(tmp_path, capsys, command, conf, key):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(path)])
+    assert err.value.code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["null", "2"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    path = tmp_path / "conf.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["asymptotic", "--config", str(path)])
+    assert err.value.code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "check, own, foreign",
+    [
+        ("marginals", ["--tol", "1e-9"], ["--trials", "5"]),
+        (
+            "sampling-lemma",
+            ["--bits", "400", "--sample", "200", "--weight", "40", "--eps", "0.05",
+             "--trials", "2000", "--seed", "1"],
+            ["--radius", "3"],
+        ),
+        (
+            "ec-toy",
+            ["--parties", "2", "--key-bits", "8", "--q", "0.05", "--eps-ec", "0.05",
+             "--radius", "2", "--trials", "2000", "--seed", "1"],
+            ["--tol", "0"],
+        ),
+    ],
+)
+def test_validate_checks_take_only_their_own_flags(capsys, check, own, foreign):
+    code, out = run_cli(capsys, ["validate", check, *own])
+    assert code == 0
+    echoed = json.loads(out)["config"]
+    assert {f"--{key}" for key in echoed} - {"--command"} == set(own[::2])
+    with pytest.raises(SystemExit) as err:
+        main(["validate", check, *own, *foreign])
+    assert err.value.code == 2
+    capsys.readouterr()
