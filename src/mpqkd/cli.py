@@ -126,6 +126,8 @@ def _check(option: Option, value) -> None:
     if option.type is str:
         # lists and grids are parsed from text; only an unset path may be null
         ok = isinstance(value, str) or (value is None and option.default is None)
+    elif option.type is int and isinstance(value, (bool, float)):
+        ok = False  # int() would truncate 3.9 and take true; the flag takes neither
     else:
         try:
             option.type(value)
@@ -278,7 +280,7 @@ def cmd_threshold(conf: Dict) -> int:
 
 
 THRESHOLD = (
-    Option("qab", "0.05", "comma list of Q_AB values"),
+    Option("qab", "0.05", "grid lo:hi:steps or comma list"),
     Option("parties", "2", "comma list of party counts"),
     Option("eps-tot", 5e-9, type=float),
     Option("lmax", 1e14, type=float),

@@ -11,7 +11,10 @@ operations): multi-start coordinate descent with golden-section line
 searches, over softmax-transformed weights and log p.  Starts come from a
 scrambled Sobol sequence plus one deterministic equal-shares start, so the
 optimized rate can never fall below the equal-shares rate.  Same seed and
-search settings give bit-identical results.
+search settings give bit-identical results.  The Sobol points come from a
+built-in numpy engine (``_sobol``) that reproduces
+``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)`` bit
+for bit, so the runtime needs numpy alone.
 
 Each of the thousands of points an optimum visits is scored on plain floats:
 the budget split (``_split``) and the key-length terms run on ``neg_log2``
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .finite_key import (
     ConfigurationError,
@@ -62,6 +64,32 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Joe & Kuo (SIAM J. Sci. Comput. 30, 2635 (2008)) direction numbers of the
+# first 7 Sobol dimensions: each primitive polynomial (its degree is its bit
+# length minus 1) and its initial m_k; dimension 0 is all ones
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25)
+_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13))
+_SOBOL_BITS = 30
+
+
+def _direction_numbers() -> np.ndarray:
+    """The (7, 30) table of direction numbers, column j scaled by 2^(29 - j)."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in zip(_SOBOL_POLY[1:], _SOBOL_VINIT[1:]):
+        degree = poly.bit_length() - 1
+        row = list(init)
+        for j in range(degree, _SOBOL_BITS):
+            new = row[j - degree]
+            for i in range(1, degree + 1):
+                if poly >> (degree - i) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64) << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
+
+
+_SOBOL_V = _direction_numbers()
 
 
 @dataclass(frozen=True)
@@ -208,6 +236,35 @@ def _golden_max(
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
+def _sobol(d: int, m: int, seed: int) -> np.ndarray:
+    """The first 2^m points of a scrambled Sobol sequence in d <= 7 dimensions.
+
+    Bit-identical to ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
+    .random_base2(m)``: the same draws from ``default_rng(seed)`` (the digital
+    shift first, then the lower-triangular LMS matrices, given a unit
+    diagonal) and the same Gray-code order of points.
+    """
+    if d > len(_SOBOL_POLY):
+        raise ValueError(f"the Sobol engine has {len(_SOBOL_POLY)} dimensions, got d = {d}")
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    place = 2 ** np.arange(bits, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ place
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    ltm[:, range(bits), range(bits)] = 1
+    # LMS scramble: bit 29 - p of scrambled column j is the parity of row p
+    # of ltm against the bits of column j, most significant bit first
+    msb_first = place[::-1]
+    v_bits = _SOBOL_V[:d, None, :] // msb_first[:, None] & 1
+    sv = msb_first @ (ltm @ v_bits & 1)
+    # point i steps from point i - 1 by the column of the lowest zero bit of
+    # i - 1, so it is the shift XOR the columns set in the Gray code of i
+    i = np.arange(2**m)
+    on = ((i ^ i >> 1)[:, None, None] >> np.arange(bits) & 1).astype(bool)
+    quasi = np.bitwise_xor.reduce(np.where(on, sv, 0), axis=2) ^ shift
+    return quasi / 2**bits
+
+
 def optimize_rate(
     kind: Protocol,
     parties: int,
@@ -267,8 +324,7 @@ def optimize_rate(
     extra = max(cfg.starts - 1, 0)
     points = np.empty((0, n_weights + 1))
     if extra:
-        sobol = qmc.Sobol(d=n_weights + 1, scramble=True, seed=cfg.seed)
-        points = sobol.random_base2(m=max(1, math.ceil(math.log2(extra))))[:extra]
+        points = _sobol(n_weights + 1, max(1, math.ceil(math.log2(extra))), cfg.seed)[:extra]
     for row in points:
         theta = 3.0 * (2.0 * row[:n_weights] - 1.0)
         lp = lp_lo + row[n_weights] * (lp_hi - lp_lo)

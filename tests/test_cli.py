@@ -229,6 +229,8 @@ def test_golden_stdout_bytes(capsys, case):
         ("asymptotic", {"command": "finite"}, "command"),  # not a settable key
         ("asymptotic", {"parties": 2}, "parties"),  # lists are parsed from text
         ("finite", {"seed": "abc"}, "seed"),  # rejected by the flag's type
+        ("simulate", {"parties": 3.9, "rounds": 20000}, "parties"),  # int() would truncate
+        ("simulate", {"seed": True, "rounds": 20000}, "seed"),  # int() would take it as 1
     ],
 )
 def test_config_value_checked_like_its_flag(tmp_path, capsys, command, conf, key):
@@ -277,3 +279,10 @@ def test_validate_checks_take_only_their_own_flags(capsys, check, own, foreign):
         main(["validate", check, *own, *foreign])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_threshold_help_shows_grid_syntax(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--help"])
+    assert err.value.code == 0
+    assert "lo:hi:steps" in capsys.readouterr().out

@@ -284,6 +284,22 @@ class TestReplayReferee:
         assert all(same_value(a, b) for a, b in pairs), pairs
 
 
+class TestSobolEngine:
+    """The built-in engine against the scipy one it replaces, point for point."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_scipy_scrambled_sobol(self, d):
+        for seed in range(200):
+            for m in range(1, 5):
+                want = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)
+                got = optimize._sobol(d, m, seed)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, m)
+
+    def test_more_than_seven_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            optimize._sobol(8, 1, 0)
+
+
 class TestThresholdFromCurve:
     def test_simple_step(self):
         lbar = _threshold_from_curve(lambda L: L >= 5000, 64, 10**9)
