@@ -165,6 +165,9 @@ def _resolve(args: argparse.Namespace, command: Command) -> Dict:
 
 
 def _search_config(resolved: Dict) -> SearchConfig:
+    for key in ("max-evals", "starts"):
+        if int(resolved[key]) < 1:
+            raise _die_usage(f"--{key} must be at least 1, got {resolved[key]}")
     return SearchConfig(
         max_evaluations=int(resolved["max-evals"]),
         starts=int(resolved["starts"]),

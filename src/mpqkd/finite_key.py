@@ -339,13 +339,6 @@ def _gamma_result(corner) -> GammaPEResult:
     )
 
 
-def _infimum_over_box(
-    q_ab: list, q_x: float, q_z: float, eta_z: float, eta_x: float, eta_zp: float
-) -> GammaPEResult:
-    """``_box_corner`` as a ``GammaPEResult``."""
-    return _gamma_result(_box_corner(q_ab, q_x, q_z, eta_z, eta_x, eta_zp))
-
-
 def gamma_pe_infimum(
     stats: ObservedStats, budget: SecurityBudget, counts: Tuple[int, int]
 ) -> GammaPEResult:

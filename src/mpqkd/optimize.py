@@ -10,9 +10,13 @@ The search is derivative-free (the objective has clamps and floor
 operations): multi-start coordinate descent with golden-section line
 searches, over softmax-transformed weights and log p.  Starts come from a
 scrambled Sobol sequence plus one deterministic equal-shares start, so the
-optimized rate can never fall below the equal-shares rate.  Same seed and
-search settings give bit-identical results.  The Sobol points come from a
-built-in numpy engine (``_sobol``) that reproduces
+optimized rate can never fall below the equal-shares rate.  Given a warm
+hint (an optimum at a nearby L), one start from the hint replaces them; the
+equal-shares point is still scored as the floor, and a warm start that ends
+below it falls back to the full multi-start.  ``threshold_L`` warms every
+optimum after the first of each protocol from the cached optimum nearest in
+log L.  Same seed and search settings give bit-identical results.  The
+Sobol points come from a built-in numpy engine (``_sobol``) that reproduces
 ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)`` bit
 for bit, so the runtime needs numpy alone.
 
@@ -114,9 +118,16 @@ def _check_shares(p: float, weights: Tuple[float, ...]) -> None:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Evaluation budget per start, number of starts, and the Sobol seed."""
+
     max_evaluations: int = 5000
     starts: int = 8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("max_evaluations", "starts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -272,12 +283,21 @@ def optimize_rate(
     stats: ObservedStats,
     eps_tot_target: LogEps,
     search_config: Optional[SearchConfig] = None,
+    *,
+    warm: Optional[BudgetShares] = None,
 ) -> OptimizedRate:
     """Maximize the net key rate over budget shares and p at fixed eps_tot.
 
     Returns the best found rate (0.0 when no positive rate exists anywhere);
-    the equal-shares point is always among the starts, so the result is
-    never worse than it.
+    the equal-shares point is always evaluated, so the result is never worse
+    than it.
+
+    ``warm`` (typically the optimum at a nearby L) replaces the multi-start by
+    one coordinate-descent start from its weights and p, with the same
+    evaluation budget.  If that start ends below the equal-shares point, or
+    on a point with no key length (infeasible or vacuous), the full
+    multi-start runs as if ``warm`` were None.  ``evaluations`` counts every
+    point scored, fallback included.
     """
     cfg = search_config or SearchConfig()
     n_weights = len(budget_components(kind))
@@ -321,7 +341,7 @@ def optimize_rate(
 
     # start 0: equal shares; the rest from a scrambled Sobol sequence
     start_list = [(np.zeros(n_weights), math.log(min(max(0.05, p_min), p_max)))]
-    extra = max(cfg.starts - 1, 0)
+    extra = cfg.starts - 1
     points = np.empty((0, n_weights + 1))
     if extra:
         points = _sobol(n_weights + 1, max(1, math.ceil(math.log2(extra))), cfg.seed)[:extra]
@@ -337,7 +357,8 @@ def optimize_rate(
         if value is not None and (best is None or value > best[0]):
             best = (value, theta.copy(), lp)
 
-    for theta0, lp0 in start_list:
+    def descend(theta0: np.ndarray, lp0: float) -> Optional[float]:
+        """One coordinate-descent start; returns the value it ends at."""
         theta = theta0.copy()
         lp = lp0
         start_budget = evaluations + cfg.max_evaluations
@@ -370,7 +391,23 @@ def optimize_rate(
             first_sweep = False
             if not improved:
                 break
-        consider(evaluate(theta, lp), theta, lp)
+        last = evaluate(theta, lp)
+        consider(last, theta, lp)
+        return last
+
+    if warm is not None:
+        # the equal-shares point stays the floor; a warm start that ends below
+        # it, or on a point with no key length (infeasible or vacuous), falls
+        # back to the cold starts
+        floor = evaluate(*start_list[0])
+        consider(floor, *start_list[0])
+        lp_warm = min(max(math.log(warm.p), lp_lo), lp_hi)
+        reached = descend(np.log(np.array(warm.weights)), lp_warm)
+        feasible = reached is not None and reached > -math.inf
+        if feasible and (floor is None or reached >= floor):
+            start_list = []
+    for theta0, lp0 in start_list:
+        descend(theta0, lp0)
 
     if best is None:
         raise ConfigurationError("no feasible configuration found")
@@ -460,16 +497,32 @@ def threshold_L(
     ordering persists at 2L and 4L.  Returns None when no crossing exists
     below ``l_max``.  Frequencies are derived from Q_AB via the
     global-depolarizing relations.
+
+    Each (protocol, L) is optimized once, and the N-BB84 optimum only where
+    the six-state rate is positive.  The first optimum of each protocol is a
+    cold multi-start; every later one is warm-started (``optimize_rate``'s
+    ``warm``) from the cached optimum of the same protocol nearest in
+    |log L|, the smaller L on a tie, since the optimal shares and log p move
+    smoothly with log L.
     """
     stats = stats_from_qab_global(q_ab, parties)
-    cache: Dict[Tuple[Protocol, int], float] = {}
+    cache: Dict[Tuple[Protocol, int], OptimizedRate] = {}
 
     def rate(kind: Protocol, total_rounds: int) -> float:
         if (kind, total_rounds) not in cache:
+            # start from the same protocol's optimum nearest in |log L|, the
+            # smaller L on a tie (int / int rounds correctly, so equal ratios
+            # give equal keys)
+            nearest = min(
+                (L for k, L in cache if k is kind),
+                key=lambda L: (max(L, total_rounds) / min(L, total_rounds), L),
+                default=None,
+            )
+            warm = None if nearest is None else cache[kind, nearest].shares
             cache[kind, total_rounds] = optimize_rate(
-                kind, parties, total_rounds, stats, eps_tot_target, search_config
-            ).rate
-        return cache[kind, total_rounds]
+                kind, parties, total_rounds, stats, eps_tot_target, search_config, warm=warm
+            )
+        return cache[kind, total_rounds].rate
 
     def crossed(total_rounds: int) -> bool:
         # a zero six-state rate settles the verdict without the N-BB84 optimum

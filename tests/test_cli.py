@@ -286,3 +286,29 @@ def test_threshold_help_shows_grid_syntax(capsys):
         main(["threshold", "--help"])
     assert err.value.code == 0
     assert "lo:hi:steps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["finite", "--starts", "-3"], "--starts"),  # once ran as one start
+        (["finite", "--starts", "0"], "--starts"),
+        (["finite", "--max-evals", "0"], "--max-evals"),  # once printed the start points
+        (["finite", "--max-evals", "-5"], "--max-evals"),
+        (["threshold", "--max-evals", "0"], "--max-evals"),
+    ],
+)
+def test_empty_search_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {argv[-1]}\n"
+
+
+def test_empty_search_in_config_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"starts": 0}))
+    with pytest.raises(SystemExit) as err:
+        main(["finite", "--config", str(path)])
+    assert err.value.code == 2
+    assert "--starts" in capsys.readouterr().err

@@ -12,7 +12,8 @@ from mpqkd.finite_key import (
     Protocol,
     ProtocolConfig,
     SecurityBudget,
-    _infimum_over_box,
+    _box_corner,
+    _gamma_result,
     derive_counts,
     epsilon_pe_nbb84,
     epsilon_total_nbb84,
@@ -28,6 +29,11 @@ from mpqkd.numerics import LogEps, binary_entropy, eps_sqrt, eps_sum
 from mpqkd.optimize import BudgetShares, allocate_budget, budget_components, stats_from_qab_global
 
 import oracles
+
+
+def _infimum_over_box(q_ab, q_x, q_z, eta_z, eta_x, eta_zp):
+    """Gamma_PE infimum over the box of half-widths 2 eta around the statistics."""
+    return _gamma_result(_box_corner(q_ab, q_x, q_z, eta_z, eta_x, eta_zp))
 
 
 def bb84_budget(neg_z, neg_x, neg_ec, neg_pa):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
@@ -45,6 +46,15 @@ def random_shares(rng, kind):
     w = rng.uniform(0.1, 1.0, k)
     w = w / w.sum()
     return BudgetShares(float(rng.uniform(0.01, 0.4)), tuple(float(v) for v in w))
+
+
+def log_uniform_shares(kind, p, log_weights):
+    """Shares from log-uniform weight draws; 1e-12 draws sit near the simplex edge."""
+    raw = [math.exp(v) for v in log_weights[: len(budget_components(kind))]]
+    return BudgetShares(p, tuple(w / sum(raw) for w in raw))
+
+
+LOG_WEIGHTS = st.lists(st.floats(math.log(1e-12), 0.0), min_size=6, max_size=6)
 
 
 class TestAllocateBudget:
@@ -94,6 +104,28 @@ class TestAllocateBudget:
         with pytest.raises(ValueError, match="exceeds the target by 1 bits"):
             allocate_budget(kind, 3, 10**6, TARGET, shares)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 10),
+        log10_rounds=st.floats(1.0, 15.0),
+        target_neg=st.floats(1.0, 200.0),
+        p=st.floats(1e-6, 0.49),
+        log_weights=LOG_WEIGHTS,
+    )
+    def test_composed_total_never_exceeds_target(
+        self, kind, parties, log10_rounds, target_neg, p, log_weights
+    ):
+        shares = log_uniform_shares(kind, p, log_weights)
+        total_rounds = int(round(10.0**log10_rounds))
+        target = LogEps(target_neg)
+        budget = allocate_budget(kind, parties, total_rounds, target, shares)
+        if kind is Protocol.N_BB84:
+            composed = epsilon_total_nbb84(budget, parties)
+        else:
+            composed = epsilon_total_nsixstate(budget, parties, total_rounds)
+        assert composed.neg_log2 >= target.neg_log2
+
 
 class TestOptimizeRate:
     def test_beats_equal_shares(self):
@@ -141,6 +173,81 @@ class TestOptimizeRate:
         stats = stats_from_qab_global(0.05, 2)
         with pytest.raises(ConfigurationError):
             optimize_rate(Protocol.N_SIX_STATE, 2, 4, stats, TARGET, FAST)
+
+    @pytest.mark.parametrize("field", ["max_evaluations", "starts"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_search_config_rejects_empty_search(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            dataclasses.replace(FAST, **{field: value})
+
+
+def equal_shares_rate(kind, parties, total_rounds, stats, target):
+    """Rate at the equal-shares start point that ``optimize_rate`` always scores."""
+    k = len(budget_components(kind))
+    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
+    p = min(max(0.05, (m_min + 0.5) / total_rounds), 0.4999)
+    shares = BudgetShares(p, tuple([1.0 / k] * k))
+    budget = allocate_budget(kind, parties, total_rounds, target, shares)
+    evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+    return evaluator(ProtocolConfig(kind, parties, total_rounds, p), stats, budget).rate
+
+
+class TestWarmStart:
+    @settings(max_examples=40, deadline=None)
+    # a hint whose start, within its budget, ends below the equal-shares rate
+    @example(
+        kind=Protocol.N_BB84,
+        parties=2,
+        log10_rounds=math.log10(250422),
+        q_ab=0.01103290419067407,
+        hint_p=0.36331860620528095,
+        log_weights=[math.log(w) for w in (6.8e-06, 2.6e-07, 1.3e-08, 0.99999)] + [0.0, 0.0],
+        max_evaluations=111,
+    )
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 5),
+        log10_rounds=st.floats(4.0, 12.0),
+        q_ab=st.floats(0.01, 0.1),
+        hint_p=st.floats(1e-6, 0.49),
+        log_weights=LOG_WEIGHTS,
+        max_evaluations=st.integers(20, 300),
+    )
+    def test_never_below_equal_shares(
+        self, kind, parties, log10_rounds, q_ab, hint_p, log_weights, max_evaluations
+    ):
+        hint = log_uniform_shares(kind, hint_p, log_weights)
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        cfg = SearchConfig(max_evaluations, 2, 0)
+        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, cfg, warm=hint)
+        assert opt.rate >= equal_shares_rate(kind, parties, total_rounds, stats, TARGET)
+
+    def test_hint_from_nearby_optimum_is_cheaper(self):
+        stats = stats_from_qab_global(0.05, 2)
+        kind = Protocol.N_SIX_STATE
+        near = optimize_rate(kind, 2, 10**9, stats, TARGET, FAST)
+        cold = optimize_rate(kind, 2, 2 * 10**9, stats, TARGET, FAST)
+        warm = optimize_rate(kind, 2, 2 * 10**9, stats, TARGET, FAST, warm=near.shares)
+        assert warm.evaluations < cold.evaluations
+        assert warm.rate == pytest.approx(cold.rate, rel=1e-6)
+
+    def test_infeasible_hint_falls_back_to_cold_search(self):
+        # at a 0.2-bit target with N = 6, eps_rob >= 1 wherever w_z + w_x is
+        # near 1: every point the hint's start visits is vacuous, and so is
+        # the equal-shares point
+        kind, parties, total_rounds = Protocol.N_BB84, 6, 10**6
+        stats = stats_from_qab_global(0.05, parties)
+        target = LogEps(0.2)
+        cfg = SearchConfig(200, 3, 0)
+        hint = BudgetShares(0.05, (0.5 - 1e-12, 0.5 - 1e-12, 1e-12, 1e-12))
+        cold = optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+        got = optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=hint)
+        assert cold.rate > 0.0
+        assert got.rate == cold.rate
+        assert got.shares == cold.shares
+        assert flat_fields(got.result) == flat_fields(cold.result)
+        assert got.evaluations > cold.evaluations  # the warm start is counted too
 
 
 def replay_optimize_rate(kind, parties, total_rounds, stats, eps_tot_target, cfg):
@@ -338,10 +445,14 @@ class TestThresholdL:
             return 0.45 if total >= 2**11 else 0.0
 
         calls = []
+        hints = []
 
-        def fake_optimize_rate(kind, parties, total, stats, target, config):
+        def fake_optimize_rate(kind, parties, total, stats, target, config, *, warm=None):
             calls.append((kind, total))
-            return SimpleNamespace(rate=six(total) if kind is Protocol.N_SIX_STATE else bb84(total))
+            hints.append(warm)
+            rate = six(total) if kind is Protocol.N_SIX_STATE else bb84(total)
+            # the shares stand for the optimum they came from
+            return SimpleNamespace(rate=rate, shares=(kind, total))
 
         monkeypatch.setattr(optimize, "optimize_rate", fake_optimize_rate)
         lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
@@ -360,6 +471,35 @@ class TestThresholdL:
         assert set(six_probed) == set(probed)
         assert set(bb84_probed) == {t for t in probed if six(t) > 0.0}
         assert len(bb84_probed) < len(six_probed)
+
+        # every optimum after the first of a protocol starts from the cached
+        # optimum of that protocol nearest in |log L|, the smaller L on a tie
+        for i, ((kind, total), warm) in enumerate(zip(calls, hints)):
+            earlier = [t for k, t in calls[:i] if k is kind]
+            if not earlier:
+                assert warm is None
+                continue
+            nearest = min(earlier, key=lambda t: (Fraction(max(t, total), min(t, total)), t))
+            assert warm == (kind, nearest), (kind, total)
+        assert hints.count(None) == 2
+
+    def test_deterministic(self, monkeypatch):
+        inner = optimize.optimize_rate
+        probes = []
+
+        def recorded(kind, parties, total, *args, **kwargs):
+            opt = inner(kind, parties, total, *args, **kwargs)
+            probes.append((kind, total, kwargs["warm"], opt.rate, opt.shares, opt.evaluations))
+            return opt
+
+        monkeypatch.setattr(optimize, "optimize_rate", recorded)
+        runs = []
+        for _ in range(2):
+            probes.clear()
+            lbar = threshold_L(0.05, 2, TARGET, l_min=2**22, search_config=FAST)
+            runs.append((lbar, list(probes)))
+        assert runs[0][0] is not None
+        assert runs[0] == runs[1]
 
     def test_crossover_exists_and_orders(self):
         lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
