@@ -126,8 +126,8 @@ def _check(option: Option, value) -> None:
     if option.type is str:
         # lists and grids are parsed from text; only an unset path may be null
         ok = isinstance(value, str) or (value is None and option.default is None)
-    elif option.type is int and isinstance(value, (bool, float)):
-        ok = False  # int() would truncate 3.9 and take true; the flag takes neither
+    elif isinstance(value, bool) or (option.type is int and isinstance(value, float)):
+        ok = False  # no flag takes true; an int flag takes no 3.9, which int() would truncate
     else:
         try:
             option.type(value)

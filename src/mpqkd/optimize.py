@@ -53,7 +53,7 @@ from .finite_key import (
     key_length_nsixstate,
     postselection_exponent,
 )
-from .noise import ObservedStats
+from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
 from .numerics import LogEps
 
 __all__ = [
@@ -424,13 +424,13 @@ def optimize_rate(
 def stats_from_qab_global(q_ab: float, parties: int) -> ObservedStats:
     """PE frequencies implied by Q_AB under the global-depolarizing relations.
 
-    Q_X = Q_AB and Q_Z = (2^N - 2)/2^(N-1) Q_AB, mirroring the link between
-    the corresponding probabilities.
+    These are the expected statistics of the global model at nu = 2 Q_AB:
+    Q_X = Q_AB and Q_Z = (2^N - 2)/2^(N-1) Q_AB.
     """
     if not 0.0 < q_ab < 0.5:
         raise ValueError(f"q_ab must be in (0, 0.5), got {q_ab}")
-    q_z = (2.0**parties - 2.0) / 2.0 ** (parties - 1) * q_ab
-    return ObservedStats(q_ab=[q_ab] * (parties - 1), q_x=q_ab, q_z=q_z)
+    scenario = NoiseScenario(NoiseModel.GLOBAL_DEPOLARIZING, 2.0 * q_ab, parties)
+    return expected_observed_stats(scenario)
 
 
 def _bisect_crossing(

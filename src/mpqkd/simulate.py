@@ -275,6 +275,8 @@ def sampling_lemma_experiment(
         raise ValueError(f"need 1 <= m < M, got m={m}, M={big_m}")
     if not 0 <= weight <= big_m:
         raise ValueError(f"weight must be in [0, M], got {weight}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     n = big_m - m
     rng = _philox(np.random.SeedSequence(seed))
     xi_nm = xi_correction(eps, n, m)
@@ -363,6 +365,8 @@ def ec_toy_run(
         raise ValueError(f"q must be in [0, 1/2], got {q}")
     if parties < 2:
         raise ValueError(f"parties must be >= 2, got {parties}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
     positions = _ball_positions(key_bits, radius)
     ball = len(positions)

@@ -48,10 +48,11 @@ def mp_eta(neg_log2, d, m):
 
 def mp_eps_sum_neg(terms):
     """neg_log2 of sum_i c_i * 2^(-neg_i), via direct mpf arithmetic."""
-    total = mp.mpf(0)
-    for coeff, neg in terms:
-        total += mp.mpf(coeff) * mp_eps(neg)
-    return -mp.log(total, 2)
+    with mp.workdps(DPS):
+        total = mp.mpf(0)
+        for coeff, neg in terms:
+            total += mp.mpf(coeff) * mp_eps(neg)
+        return -mp.log(total, 2)
 
 
 def _clamp_half(x):

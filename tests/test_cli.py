@@ -231,6 +231,8 @@ def test_golden_stdout_bytes(capsys, case):
         ("finite", {"seed": "abc"}, "seed"),  # rejected by the flag's type
         ("simulate", {"parties": 3.9, "rounds": 20000}, "parties"),  # int() would truncate
         ("simulate", {"seed": True, "rounds": 20000}, "seed"),  # int() would take it as 1
+        ("simulate", {"noise": True, "rounds": 20000}, "noise"),  # float() would take it as 1.0
+        ("finite", {"eps-tot": True}, "eps-tot"),
     ],
 )
 def test_config_value_checked_like_its_flag(tmp_path, capsys, command, conf, key):
@@ -312,3 +314,9 @@ def test_empty_search_in_config_file_is_usage_error(tmp_path, capsys):
         main(["finite", "--config", str(path)])
     assert err.value.code == 2
     assert "--starts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["sampling-lemma", "ec-toy"])
+def test_empty_trial_count_is_usage_error(capsys, check):
+    assert main(["validate", check, "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"

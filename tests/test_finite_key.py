@@ -16,6 +16,7 @@ from mpqkd.finite_key import (
     _gamma_result,
     derive_counts,
     epsilon_pe_nbb84,
+    epsilon_pe_nsixstate,
     epsilon_total_nbb84,
     epsilon_total_nsixstate,
     gamma_pe_infimum,
@@ -98,6 +99,19 @@ class TestEpsilonCompositions:
         assert shifted.neg_log2 == pytest.approx(
             inner_only.neg_log2 - 15 * math.log2(10**6 + 1), rel=1e-12
         )
+
+    @pytest.mark.parametrize("parties", [2, 6])
+    def test_sixstate_pe(self, parties):
+        budget = six_budget(50, 41, 43, 39, 45, 47)  # (bar, z, x, z', ec, pa)
+        pe = epsilon_pe_nsixstate(budget, parties)
+        expected = oracles.mp_eps_sum_neg([(1, 39), (parties - 1, 41), (1, 43)])
+        assert pe.neg_log2 == pytest.approx(float(expected), rel=1e-12)
+        # eps_PE carries no L: eps_tot composes this same eps_PE at every L
+        inner = eps_sum([(2.0, LogEps(50)), (1.0, pe), (1.0, LogEps(45)), (1.0, LogEps(47))])
+        for total_rounds in (0, 10**6, 10**12):
+            total = epsilon_total_nsixstate(budget, parties, total_rounds)
+            blowup = (4**parties - 1) * math.log2(total_rounds + 1)
+            assert total.neg_log2 == pytest.approx(inner.neg_log2 - blowup, rel=1e-12, abs=1e-9)
 
     def test_sixstate_exponent(self):
         assert 2 ** (2 * 2) - 1 == 15

@@ -292,6 +292,8 @@ class TestSamplingLemma:
             sampling_lemma_experiment(100, 100, 10, 10, LogEps.from_eps(0.1), seed=0)
         with pytest.raises(ValueError):
             sampling_lemma_experiment(100, 50, 101, 10, LogEps.from_eps(0.1), seed=0)
+        with pytest.raises(ValueError):
+            sampling_lemma_experiment(100, 50, 10, 0, LogEps.from_eps(0.1), seed=0)
 
     def test_reproducible(self):
         eps = LogEps.from_eps(0.05)
@@ -380,3 +382,5 @@ class TestECToy:
             ec_toy_run(3, 10, 0.7, eps, 3, 10, seed=0)
         with pytest.raises(ValueError):
             ec_toy_run(1, 10, 0.05, eps, 3, 10, seed=0)
+        with pytest.raises(ValueError):
+            ec_toy_run(3, 10, 0.05, eps, 3, 0, seed=0)
