@@ -5,10 +5,24 @@ and a desk-scale one-way error-correction protocol.
 All randomness flows through a counter-based Philox generator seeded from a
 single integer; sub-experiments draw from spawned child streams, so a report
 is reproducible bit-for-bit from (seed, parameters) and tallies merged from
-batches are order-independent integer sums.  Tallies are taken one Bob
-column at a time on scratch buffers filled in place; ``random(out=...)``
-consumes a stream exactly as ``random(size)`` does, so the counts equal
-those of whole-array reductions over freshly drawn chunks.
+batches are order-independent integer sums.
+
+``simulate_rounds`` is defined by ``Generator.random`` and
+``Generator.integers(0, 2, dtype=np.uint8)`` draws, but tallies the raw words
+behind them, by two identities:
+
+* ``random()`` is ``(next64 >> 11) * 2**-53``, so ``random() < t`` exactly
+  when ``next64 < ceil(t * 2**53) << 11``, and for every word when
+  ``ceil(t * 2**53) == 2**53``; ``bit_generator.random_raw`` consumes
+  ``next64`` as ``random()`` does.
+* ``integers(0, 2, k, dtype=np.uint8)`` returns the top bit of each byte,
+  low byte first, of ``ceil(k / 4)`` successive ``next_uint32`` words, which
+  are what ``integers(0, 2**32, ceil(k / 4), dtype=np.uint32)`` returns.
+
+The global model draws ``_CHUNK`` rounds' noise flags, then their outcome
+bits, so ``_CHUNK`` is part of the definition of its counts.  The local
+model's flags are one C-order sequence per pass, tallied ``_BLOCK`` rows at
+a time so that a block's words stay in cache; ``_BLOCK`` changes no count.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,6 +99,36 @@ def _chunks(total: int, size: int) -> Iterator[int]:
         yield min(size, total - start)
 
 
+def _below(stream: np.random.Generator, shape: Tuple[int, ...], threshold: float) -> np.ndarray:
+    """``stream.random(shape) < threshold`` by the first identity above, laid
+    out column-major so that each Bob's column is contiguous."""
+    words = stream.bit_generator.random_raw(math.prod(shape)).reshape(shape)
+    flags = np.empty(shape, dtype=bool, order="F")
+    scaled = math.ceil(threshold * 2.0**53)
+    if scaled >= 1 << 53:  # every word is below; 2**64 does not fit a uint64
+        flags.fill(True)
+    else:
+        np.less(words, np.uint64(max(scaled, 0) << 11), out=flags)
+    return flags
+
+
+def _top_bits(stream: np.random.Generator, count: int) -> np.ndarray:
+    """Bytes whose top bits are ``stream.integers(0, 2, count, dtype=np.uint8)``,
+    by the second identity above."""
+    words = stream.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:count]
+
+
+def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
+    """Add each column's count of set flags to ``per_column``; return the
+    number of rows with any flag set."""
+    any_set = np.zeros(len(flags), dtype=bool)
+    for col in range(flags.shape[1]):
+        per_column[col] += np.count_nonzero(flags[:, col])
+        any_set |= flags[:, col]
+    return int(np.count_nonzero(any_set))
+
+
 def simulate_rounds(
     scenario: NoiseScenario, config: ProtocolConfig, seed: int
 ) -> SimulationReport:
@@ -115,42 +160,26 @@ def simulate_rounds(
     six = config.kind is Protocol.N_SIX_STATE
     x_rounds = counts.m_prime if six else counts.m
 
-    # scratch for the longer (first-type) pass, reused by every chunk; the
-    # flags are column-major so that each Bob's column is contiguous
-    rows = min(_CHUNK, counts.m)
-    uniforms = np.empty(rows if is_global else (rows, n_bobs))
-    flags = np.empty(uniforms.shape, dtype=bool, order="F")
-
-    def below(stream: np.random.Generator, rounds: int, threshold: float) -> np.ndarray:
-        return np.less(stream.random(out=uniforms[:rounds]), threshold, out=flags[:rounds])
-
     ab_errors = np.zeros(n_bobs, dtype=np.int64)
-    z_errors = 0
-    for rounds in _chunks(counts.m, _CHUNK):
-        if is_global:
-            noisy = below(z_stream, rounds, nu)
-            bits = z_stream.integers(0, 2, size=(rounds, n_bobs), dtype=np.uint8)
-            discord = bits.view(bool)[noisy]  # noiseless rounds never disagree
-        else:
-            discord = below(z_stream, rounds, nu / 2.0)
-        any_bob = np.zeros(len(discord), dtype=bool)
-        for bob in range(n_bobs):
-            ab_errors[bob] += np.count_nonzero(discord[:, bob])
-            any_bob |= discord[:, bob]
-        z_errors += int(np.count_nonzero(any_bob))
-
-    x_errors = 0
-    for rounds in _chunks(x_rounds, _CHUNK):
-        if is_global:
-            noisy = below(x_stream, rounds, nu)
-            bits = x_stream.integers(0, 2, size=rounds, dtype=np.uint8)
-            x_errors += int(np.count_nonzero(bits[noisy]))
-        else:
-            flips = below(x_stream, rounds, nu / 2.0)
-            parity = np.zeros(rounds, dtype=bool)
-            for bob in range(n_bobs):
-                parity ^= flips[:, bob]
-            x_errors += int(np.count_nonzero(parity))
+    z_errors = x_errors = 0
+    if is_global:
+        # each chunk draws its rounds' noise flags, then their outcome bits
+        for rounds in _chunks(counts.m, _CHUNK):
+            noisy = _below(z_stream, (rounds,), nu)
+            outcomes = _top_bits(z_stream, rounds * n_bobs).reshape(rounds, n_bobs)
+            # noiseless rounds never disagree
+            z_errors += _tally_columns(np.compress(noisy, outcomes, axis=0) >= 128, ab_errors)
+        for rounds in _chunks(x_rounds, _CHUNK):
+            noisy = _below(x_stream, (rounds,), nu)
+            outcomes = np.compress(noisy, _top_bits(x_stream, rounds))
+            x_errors += int(np.count_nonzero(outcomes >= 128))
+    else:
+        # one flip flag per (round, Bob), drawn in C order
+        for rounds in _chunks(counts.m, _BLOCK):
+            z_errors += _tally_columns(_below(z_stream, (rounds, n_bobs), nu / 2.0), ab_errors)
+        for rounds in _chunks(x_rounds, _BLOCK):
+            flips = _below(x_stream, (rounds, n_bobs), nu / 2.0)
+            x_errors += int(np.count_nonzero(np.logical_xor.reduce(flips, axis=1)))
 
     return SimulationReport(
         ab_errors=tuple(int(e) for e in ab_errors),

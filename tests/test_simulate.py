@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpqkd import simulate
@@ -256,15 +257,95 @@ class TestSimulateRounds:
         total=st.integers(min_value=8, max_value=2 * 10**5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         chunk=st.integers(min_value=64, max_value=2**14),
+        block=st.integers(min_value=1, max_value=2**10),
     )
-    def test_matches_whole_array_replay(self, model, kind, parties, nu, total, seed, chunk):
+    # nu = 1 puts the global model's noise threshold at the all-true edge
+    @example(GLOBAL, SIX, 3, 0.0, 5000, 1, 700, 3)
+    @example(GLOBAL, BB84, 4, 1.0, 5000, 2, 700, 3)
+    @example(LOCAL, SIX, 3, 0.0, 5000, 3, 700, 1)
+    @example(LOCAL, BB84, 4, 1.0, 5000, 4, 700, 1)
+    def test_matches_whole_array_replay(self, model, kind, parties, nu, total, seed, chunk, block):
         scenario = NoiseScenario(model, nu, parties)
         config = ProtocolConfig(kind, parties, total, 0.25)
-        # a small chunk puts chunk boundaries and partial chunks at every scale
-        with mock.patch.object(simulate, "_CHUNK", chunk):
+        # small chunks and blocks put their boundaries and partial ones at every scale
+        with mock.patch.object(simulate, "_CHUNK", chunk), mock.patch.object(
+            simulate, "_BLOCK", block
+        ):
             report = simulate_rounds(scenario, config, seed)
         expected = replay_simulate_rounds(scenario, config, seed, chunk)
         assert (report.ab_errors, report.x_errors, report.z_errors) == expected
+
+    def test_local_model_scratch_is_block_sized(self):
+        scenario = NoiseScenario(LOCAL, 0.1, 10)
+        config = ProtocolConfig(SIX, 10, 10**7, 0.25)
+        tracemalloc.start()
+        try:
+            simulate_rounds(scenario, config, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # scratch for a whole 2**20-round chunk of 9 Bobs' doubles and flags
+        # would be 2**20 * 9 * 9 bytes, about 85 MB
+        assert peak < 4 * 2**20
+
+
+class TestRawWordIdentities:
+    """The two numpy identities ``simulate_rounds`` tallies by.
+
+    Each compares the kernel's raw-word helper with the draw that defines the
+    counts, from the same stream position, and then checks that both streams
+    are left in the same state.
+    """
+
+    @staticmethod
+    def assert_same_state(a, b):
+        assert a.random() == b.random()
+        assert a.integers(0, 2**32, dtype=np.uint32) == b.integers(0, 2**32, dtype=np.uint32)
+        assert a.integers(0, 10**6) == b.integers(0, 10**6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        skip=st.integers(min_value=0, max_value=40),
+        threshold=st.floats(min_value=0.0, max_value=1.0),
+        rows=st.integers(min_value=1, max_value=300),
+        cols=st.integers(min_value=1, max_value=9),
+    )
+    @example(1, 0, 0.0, 100, 3)
+    @example(2, 1, 2.0**-1074, 100, 3)
+    @example(3, 2, 0.5, 100, 3)
+    @example(4, 3, 1.0 - 2.0**-53, 100, 3)
+    @example(5, 5, 1.0, 100, 3)
+    def test_uniform_below_threshold_on_raw_words(self, seed, skip, threshold, rows, cols):
+        a, b = _philox(seed), _philox(seed)
+        a.random(skip)
+        b.random(skip)
+        expected = a.random((rows, cols)) < threshold
+        got = simulate._below(b, (rows, cols), threshold)
+        assert got.flags.f_contiguous
+        np.testing.assert_array_equal(got, expected)
+        self.assert_same_state(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        before=st.integers(min_value=0, max_value=7),
+        count=st.integers(min_value=1, max_value=300),
+    )
+    @example(1, 0, 1)
+    @example(2, 1, 3)
+    @example(3, 3, 5)
+    @example(4, 5, 13)
+    @example(5, 7, 7)
+    def test_uint8_bits_are_top_bits_of_uint32_words(self, seed, before, count):
+        a, b = _philox(seed), _philox(seed)
+        # an odd number of earlier uint32 words leaves a half-word carried
+        a.integers(0, 2, size=before, dtype=np.uint8)
+        b.integers(0, 2, size=before, dtype=np.uint8)
+        expected = a.integers(0, 2, size=count, dtype=np.uint8)
+        got = simulate._top_bits(b, count) >= 128
+        np.testing.assert_array_equal(got, expected.astype(bool))
+        self.assert_same_state(a, b)
 
 
 class TestSamplingLemma:
