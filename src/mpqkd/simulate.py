@@ -108,7 +108,7 @@ def _below(stream: np.random.Generator, shape: Tuple[int, ...], threshold: float
     if scaled >= 1 << 53:  # every word is below; 2**64 does not fit a uint64
         flags.fill(True)
     else:
-        np.less(words, np.uint64(max(scaled, 0) << 11), out=flags)
+        np.less(words, np.uint64(scaled << 11), out=flags)
     return flags
 
 
