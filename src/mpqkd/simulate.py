@@ -9,28 +9,43 @@ batches are order-independent integer sums.
 
 ``simulate_rounds`` is defined by ``Generator.random`` and
 ``Generator.integers(0, 2, dtype=np.uint8)`` draws, but tallies the raw words
-behind them, by two identities:
+behind them, by three identities:
 
 * ``random()`` is ``(next64 >> 11) * 2**-53``, so ``random() < t`` exactly
   when ``next64 < ceil(t * 2**53) << 11``, and for every word when
   ``ceil(t * 2**53) == 2**53``; ``bit_generator.random_raw`` consumes
   ``next64`` as ``random()`` does.
 * ``integers(0, 2, k, dtype=np.uint8)`` returns the top bit of each byte,
-  low byte first, of ``ceil(k / 4)`` successive ``next_uint32`` words, which
-  are what ``integers(0, 2**32, ceil(k / 4), dtype=np.uint32)`` returns.
+  low byte first, of ``ceil(k / 4)`` successive ``next_uint32`` words.
+  ``next_uint32`` returns the low half of a fresh raw word and carries its
+  high half to the next ``next_uint32`` call, past any ``next64`` calls in
+  between; so successive ``uint32`` words are the little-endian bytes of
+  successive raw words, and a draw of an odd number of them leaves a
+  half-word carried into the next draw.
+* The stream after ``w`` raw words is ``Philox(seed).advance(w // 4)`` with
+  ``w % 4`` more words drawn and dropped: each step of the Philox counter
+  makes four words, and ``advance`` empties the four-word buffer.
 
-The global model draws ``_CHUNK`` rounds' noise flags, then their outcome
-bits, so ``_CHUNK`` is part of the definition of its counts.  The local
-model's flags are one C-order sequence per pass, tallied ``_BLOCK`` rows at
-a time so that a block's words stay in cache; ``_BLOCK`` changes no count.
+Every pass is split into contiguous segments of ``_BLOCK``-row blocks, one
+per usable CPU at most, and each segment is tallied on its own thread from
+streams positioned at its first word by the third identity.  Tallies are
+integer sums, so the counts are the same for any partition, and ``_BLOCK``
+changes no count.  The local model's flags are one C-order sequence per
+pass.  The global model draws ``_CHUNK`` rounds' noise flags, then their
+outcome bits, so ``_CHUNK`` fixes the draw order and is part of the
+definition of its counts; it no longer sets the scratch size, because each
+chunk is read a block at a time through two cursors, one over its noise
+words and one over its outcome bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +108,14 @@ def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
+def _stream(seed_seq: np.random.SeedSequence, word: int) -> np.random.Generator:
+    """``seed_seq``'s Philox stream after its first ``word`` raw words, by the
+    third identity above."""
+    bit_gen = np.random.Philox(seed_seq).advance(word // 4)
+    bit_gen.random_raw(word % 4)
+    return np.random.Generator(bit_gen)
+
+
 def _chunks(total: int, size: int) -> Iterator[int]:
     """Batch sizes that cover ``total`` items, ``size`` at a time."""
     for start in range(0, total, size):
@@ -103,20 +126,29 @@ def _below(stream: np.random.Generator, shape: Tuple[int, ...], threshold: float
     """``stream.random(shape) < threshold`` by the first identity above, laid
     out column-major so that each Bob's column is contiguous."""
     words = stream.bit_generator.random_raw(math.prod(shape)).reshape(shape)
-    flags = np.empty(shape, dtype=bool, order="F")
     scaled = math.ceil(threshold * 2.0**53)
     if scaled >= 1 << 53:  # every word is below; 2**64 does not fit a uint64
-        flags.fill(True)
-    else:
-        np.less(words, np.uint64(scaled << 11), out=flags)
-    return flags
+        return np.ones(shape, dtype=bool, order="F")
+    # comparing in the words' order and then reordering the one-byte flags is
+    # faster than writing the flags column-major from the eight-byte words
+    return np.asfortranarray(words < np.uint64(scaled << 11))
 
 
-def _top_bits(stream: np.random.Generator, count: int) -> np.ndarray:
-    """Bytes whose top bits are ``stream.integers(0, 2, count, dtype=np.uint8)``,
-    by the second identity above."""
-    words = stream.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
-    return words.astype("<u4", copy=False).view(np.uint8)[:count]
+class _Bytes:
+    """The little-endian bytes of ``stream``'s raw words, read in order; by
+    the second identity above, their top bits are ``uint8`` coin flips."""
+
+    def __init__(self, stream: np.random.Generator):
+        self.stream = stream
+        self.head = np.empty(0, dtype=np.uint8)  # unread bytes of the last word
+
+    def read(self, count: int) -> np.ndarray:
+        words = self.stream.bit_generator.random_raw(-(-(count - len(self.head)) // 8))
+        data = words.astype("<u8", copy=False).view(np.uint8)
+        if len(self.head):
+            data = np.concatenate([self.head, data])
+        self.head = data[count:]
+        return data[:count]
 
 
 def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
@@ -127,6 +159,86 @@ def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
         per_column[col] += np.count_nonzero(flags[:, col])
         any_set |= flags[:, col]
     return int(np.count_nonzero(any_set))
+
+
+def _tally_parity(flags: np.ndarray, per_column: np.ndarray) -> int:
+    """The number of rows with an odd number of set flags."""
+    return int(np.count_nonzero(np.logical_xor.reduce(flags, axis=1)))
+
+
+_Tally = Tuple[np.ndarray, int]  # per-column counts, rows counted
+
+
+def _tally_local(
+    seed_seq: np.random.SeedSequence,
+    threshold: float,
+    width: int,
+    tally: Callable[[np.ndarray, np.ndarray], int],
+    lo: int,
+    hi: int,
+) -> _Tally:
+    """Rows ``lo:hi`` of a local-model pass: ``width`` flip flags per row, one
+    C-order sequence, handed to ``tally`` ``_BLOCK`` rows at a time."""
+    per_column = np.zeros(width, dtype=np.int64)
+    rows_hit = 0
+    stream = _stream(seed_seq, lo * width)
+    for rows in _chunks(hi - lo, _BLOCK):
+        rows_hit += tally(_below(stream, (rows, width), threshold), per_column)
+    return per_column, rows_hit
+
+
+def _tally_global(
+    seed_seq: np.random.SeedSequence, threshold: float, width: int, total: int, lo: int, hi: int
+) -> _Tally:
+    """Rows ``lo:hi`` of a global-model pass of ``total`` rounds with ``width``
+    outcome bits per round: per column, the noisy rounds whose outcome bit is
+    set, and the noisy rounds with any bit set."""
+    per_column = np.zeros(width, dtype=np.int64)
+    rows_hit = first = halves = 0  # rows and uint32 outcome words of earlier chunks
+    for rows in _chunks(total, _CHUNK):
+        start, stop = max(lo - first, 0), min(hi - first, rows)
+        if start < stop:
+            drawn = -(-halves // 2)  # raw outcome words of earlier chunks
+            noise = _stream(seed_seq, first + drawn + start)
+            # this chunk's outcome words follow its noise words, but a carried
+            # half-word is the high half of the last outcome word before them
+            word, skip = divmod(4 * halves + start * width, 8)
+            outcomes = _Bytes(_stream(seed_seq, first + word + (rows if word >= drawn else 0)))
+            outcomes.read(skip)
+            if word < drawn:
+                outcomes.stream = _stream(seed_seq, first + rows + drawn)
+            for size in _chunks(stop - start, _BLOCK):
+                noisy = _below(noise, (size,), threshold)
+                bits = outcomes.read(size * width).reshape(size, width)
+                # noiseless rounds never disagree
+                rows_hit += _tally_columns(np.compress(noisy, bits, axis=0) >= 128, per_column)
+        first += rows
+        halves += -(-rows * width // 4)
+    return per_column, rows_hit
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tally_pass(tally_rows: Callable[[int, int], _Tally], total: int, chunk: int) -> _Tally:
+    """Sum ``tally_rows(lo, hi)`` over contiguous segments of a pass's blocks,
+    ``_BLOCK`` rows from the start of each ``chunk``, one thread per segment."""
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by ``import mpqkd``
+
+    starts = [
+        first + start
+        for first in range(0, total, chunk)
+        for start in range(0, min(chunk, total - first), _BLOCK)
+    ]
+    workers = min(_usable_cpus(), len(starts))
+    cuts = [starts[len(starts) * k // workers] for k in range(workers)] + [total]
+    with ThreadPoolExecutor(workers) as pool:
+        tallies = list(pool.map(tally_rows, cuts[:-1], cuts[1:]))
+    return sum(t[0] for t in tallies), sum(t[1] for t in tallies)
 
 
 def simulate_rounds(
@@ -154,32 +266,23 @@ def simulate_rounds(
     n_bobs = scenario.parties - 1
     if scenario.parties != config.parties:
         raise ValueError("scenario and config disagree on the party count")
-    z_stream, x_stream = [_philox(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    z_seq, x_seq = np.random.SeedSequence(seed).spawn(2)
     nu = scenario.nu
-    is_global = scenario.model is NoiseModel.GLOBAL_DEPOLARIZING
     six = config.kind is Protocol.N_SIX_STATE
     x_rounds = counts.m_prime if six else counts.m
 
-    ab_errors = np.zeros(n_bobs, dtype=np.int64)
-    z_errors = x_errors = 0
-    if is_global:
+    if scenario.model is NoiseModel.GLOBAL_DEPOLARIZING:
         # each chunk draws its rounds' noise flags, then their outcome bits
-        for rounds in _chunks(counts.m, _CHUNK):
-            noisy = _below(z_stream, (rounds,), nu)
-            outcomes = _top_bits(z_stream, rounds * n_bobs).reshape(rounds, n_bobs)
-            # noiseless rounds never disagree
-            z_errors += _tally_columns(np.compress(noisy, outcomes, axis=0) >= 128, ab_errors)
-        for rounds in _chunks(x_rounds, _CHUNK):
-            noisy = _below(x_stream, (rounds,), nu)
-            outcomes = np.compress(noisy, _top_bits(x_stream, rounds))
-            x_errors += int(np.count_nonzero(outcomes >= 128))
+        z_pass = functools.partial(_tally_global, z_seq, nu, n_bobs, counts.m)
+        x_pass = functools.partial(_tally_global, x_seq, nu, 1, x_rounds)
+        chunk = _CHUNK
     else:
         # one flip flag per (round, Bob), drawn in C order
-        for rounds in _chunks(counts.m, _BLOCK):
-            z_errors += _tally_columns(_below(z_stream, (rounds, n_bobs), nu / 2.0), ab_errors)
-        for rounds in _chunks(x_rounds, _BLOCK):
-            flips = _below(x_stream, (rounds, n_bobs), nu / 2.0)
-            x_errors += int(np.count_nonzero(np.logical_xor.reduce(flips, axis=1)))
+        z_pass = functools.partial(_tally_local, z_seq, nu / 2.0, n_bobs, _tally_columns)
+        x_pass = functools.partial(_tally_local, x_seq, nu / 2.0, n_bobs, _tally_parity)
+        chunk = counts.m  # either pass whole
+    ab_errors, z_errors = _tally_pass(z_pass, counts.m, chunk)
+    _, x_errors = _tally_pass(x_pass, x_rounds, chunk)
 
     return SimulationReport(
         ab_errors=tuple(int(e) for e in ab_errors),
@@ -312,7 +415,7 @@ def sampling_lemma_experiment(
     xi_mn = xi_correction(eps, m, n)
 
     two_sided = upper = lower = 0
-    for batch in _chunks(trials, _CHUNK):
+    for batch in _chunks(trials, _BLOCK):
         ones = rng.hypergeometric(weight, big_m - weight, m, size=batch)
         lam_m = ones / m
         lam_n = (weight - ones) / n
@@ -410,6 +513,8 @@ def ec_toy_run(
 
     failures = aborts = 0
     chunk_size = max(1, min(trials, (1 << 21) // max(ball, 1)))
+    # offsets per slice of the hash table, about 2**16 hashes (512 KB) each
+    slice_rows = max(1, (1 << 16) // chunk_size)
     for batch in _chunks(trials, chunk_size):
         # x itself never needs sampling: everything below depends only on the
         # Bob-noise difference vectors, and the hash is linear
@@ -423,13 +528,16 @@ def ec_toy_run(
         # columns its position-table row names; padding slots name the
         # appended zero column, so every offset takes the same ``radius`` passes
         hash_cols = np.concatenate([cols.T, np.zeros((1, batch), dtype=np.uint64)])
-        f_offsets = np.zeros((ball, batch), dtype=np.uint64)
-        for slot in positions.T:
-            f_offsets ^= hash_cols[slot]
-
         # candidate x^v with v = noise ^ offset survives iff F v = 0,
-        # i.e. f(offset) == f(noise)
-        n_hits = (f_offsets == f_noise.T[:, None, :]).sum(axis=1).T
+        # i.e. f(offset) == f(noise); the rows are built and compared a
+        # slice of offsets at a time
+        n_hits = np.zeros((n_bobs, batch), dtype=np.int64)
+        for rows in np.array_split(positions, -(-ball // slice_rows)):
+            f_offsets = np.zeros((len(rows), batch), dtype=np.uint64)
+            for slot in rows.T:
+                f_offsets ^= hash_cols[slot]
+            n_hits += (f_offsets == f_noise.T[:, None, :]).sum(axis=1)
+        n_hits = n_hits.T
         x_in_ball = noise_wt <= radius
         n_wrong = n_hits - x_in_ball.astype(np.int64)
 

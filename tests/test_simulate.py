@@ -110,6 +110,16 @@ def replay_ec_toy_run(parties, key_bits, q, eps_ec, radius, trials, seed):
     return failures, aborts
 
 
+def traced_peak(run, *args, **kwargs):
+    """Peak bytes that tracemalloc sees allocated while ``run`` runs."""
+    tracemalloc.start()
+    try:
+        run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def binomial_band(p, count, sigmas=5.0):
     return sigmas * math.sqrt(max(p * (1.0 - p), 1e-12) / count)
 
@@ -258,19 +268,31 @@ class TestSimulateRounds:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         chunk=st.integers(min_value=64, max_value=2**14),
         block=st.integers(min_value=1, max_value=2**10),
+        segments=st.integers(min_value=1, max_value=5),
     )
     # nu = 1 puts the global model's noise threshold at the all-true edge
-    @example(GLOBAL, SIX, 3, 0.0, 5000, 1, 700, 3)
-    @example(GLOBAL, BB84, 4, 1.0, 5000, 2, 700, 3)
-    @example(LOCAL, SIX, 3, 0.0, 5000, 3, 700, 1)
-    @example(LOCAL, BB84, 4, 1.0, 5000, 4, 700, 1)
-    def test_matches_whole_array_replay(self, model, kind, parties, nu, total, seed, chunk, block):
+    @example(GLOBAL, SIX, 3, 0.0, 5000, 1, 700, 3, 2)
+    @example(GLOBAL, BB84, 4, 1.0, 5000, 2, 700, 3, 2)
+    @example(LOCAL, SIX, 3, 0.0, 5000, 3, 700, 1, 2)
+    @example(LOCAL, BB84, 4, 1.0, 5000, 4, 700, 1, 2)
+    # 700 rounds of 3 Bobs, or of the X pass's one bit, are an odd number of
+    # uint32 words, so every other chunk starts with a carried half-word
+    @example(GLOBAL, SIX, 4, 0.5, 40000, 5, 700, 3, 1)
+    @example(GLOBAL, SIX, 4, 0.5, 40000, 6, 700, 5, 2)
+    @example(GLOBAL, BB84, 4, 0.5, 40000, 7, 700, 7, 3)
+    @example(GLOBAL, SIX, 4, 0.5, 40000, 8, 700, 1, 4)
+    @example(GLOBAL, BB84, 4, 0.5, 40000, 9, 700, 2, 5)
+    @example(LOCAL, SIX, 4, 0.5, 40000, 10, 700, 3, 5)
+    def test_matches_whole_array_replay(
+        self, model, kind, parties, nu, total, seed, chunk, block, segments
+    ):
         scenario = NoiseScenario(model, nu, parties)
         config = ProtocolConfig(kind, parties, total, 0.25)
-        # small chunks and blocks put their boundaries and partial ones at every scale
+        # small chunks and blocks put their boundaries and partial ones at every
+        # scale, and up to five threads' segments split them anywhere
         with mock.patch.object(simulate, "_CHUNK", chunk), mock.patch.object(
             simulate, "_BLOCK", block
-        ):
+        ), mock.patch.object(simulate, "_usable_cpus", lambda: segments):
             report = simulate_rounds(scenario, config, seed)
         expected = replay_simulate_rounds(scenario, config, seed, chunk)
         assert (report.ab_errors, report.x_errors, report.z_errors) == expected
@@ -278,23 +300,26 @@ class TestSimulateRounds:
     def test_local_model_scratch_is_block_sized(self):
         scenario = NoiseScenario(LOCAL, 0.1, 10)
         config = ProtocolConfig(SIX, 10, 10**7, 0.25)
-        tracemalloc.start()
-        try:
-            simulate_rounds(scenario, config, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(simulate_rounds, scenario, config, seed=0)
         # scratch for a whole 2**20-round chunk of 9 Bobs' doubles and flags
         # would be 2**20 * 9 * 9 bytes, about 85 MB
         assert peak < 4 * 2**20
 
+    def test_global_model_scratch_is_block_sized(self):
+        scenario = NoiseScenario(GLOBAL, 0.1, 10)
+        config = ProtocolConfig(SIX, 10, 10**7, 0.25)
+        peak = traced_peak(simulate_rounds, scenario, config, seed=0)
+        # a whole 2**20-round chunk's noise words and 9 Bobs' outcome bytes
+        # would be 2**20 * (8 + 9) bytes, about 17 MB
+        assert peak < 4 * 2**20
+
 
 class TestRawWordIdentities:
-    """The two numpy identities ``simulate_rounds`` tallies by.
+    """The three numpy identities ``simulate_rounds`` tallies by.
 
     Each compares the kernel's raw-word helper with the draw that defines the
     counts, from the same stream position, and then checks that both streams
-    are left in the same state.
+    are left at the same position.
     """
 
     @staticmethod
@@ -338,14 +363,48 @@ class TestRawWordIdentities:
     @example(4, 5, 13)
     @example(5, 7, 7)
     def test_uint8_bits_are_top_bits_of_uint32_words(self, seed, before, count):
-        a, b = _philox(seed), _philox(seed)
+        a = _philox(seed)
         # an odd number of earlier uint32 words leaves a half-word carried
         a.integers(0, 2, size=before, dtype=np.uint8)
-        b.integers(0, 2, size=before, dtype=np.uint8)
         expected = a.integers(0, 2, size=count, dtype=np.uint8)
-        got = simulate._top_bits(b, count) >= 128
+        # the raw words' bytes, after the four of each earlier uint32 word
+        b = simulate._Bytes(_philox(seed))
+        b.read(4 * -(-before // 4))
+        got = b.read(count) >= 128
         np.testing.assert_array_equal(got, expected.astype(bool))
-        self.assert_same_state(a, b)
+        assert a.random() == b.stream.random()
+
+    def test_positioned_at_every_word_below_1000(self):
+        seed_seq = np.random.SeedSequence(2024)
+        words = _philox(seed_seq).bit_generator.random_raw(1005)
+        for word in range(1000):
+            got = simulate._stream(seed_seq, word).bit_generator.random_raw(5)
+            np.testing.assert_array_equal(got, words[word : word + 5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        word=st.integers(min_value=0, max_value=10**6),
+        carried=st.booleans(),
+        count=st.integers(min_value=1, max_value=100),
+    )
+    @example(1, 0, False, 1)
+    @example(2, 3, True, 3)
+    @example(3, 4, True, 4)
+    @example(4, 5, True, 5)
+    @example(5, 7, False, 13)
+    def test_positioned_stream_continues_the_drawn_one(self, seed, word, carried, count):
+        a = _philox(seed)
+        a.bit_generator.random_raw(word)
+        b = simulate._Bytes(simulate._stream(np.random.SeedSequence(seed), word))
+        if carried:
+            # a uint32 word takes the low half of the next raw word and
+            # carries its high half into the next draw
+            a.integers(0, 2**32, dtype=np.uint32)
+            b.read(4)
+        expected = a.integers(0, 2, size=count, dtype=np.uint8)
+        np.testing.assert_array_equal(b.read(count) >= 128, expected.astype(bool))
+        assert a.random() == b.stream.random()
 
 
 class TestSamplingLemma:
@@ -375,6 +434,27 @@ class TestSamplingLemma:
             sampling_lemma_experiment(100, 50, 101, 10, LogEps.from_eps(0.1), seed=0)
         with pytest.raises(ValueError):
             sampling_lemma_experiment(100, 50, 10, 0, LogEps.from_eps(0.1), seed=0)
+
+    # (M, m, weight, trials, eps, seed) -> (two_sided, upper, lower), recorded
+    # with all trials in one batch; both span seven 2**14-trial batches, and
+    # m < 10 takes numpy's sampling path instead of its ratio-of-uniforms one
+    PINNED = {
+        (500, 200, 60, 10**5, 0.05, 12): (15, 4, 11),
+        (40, 5, 20, 10**5, 0.2, 21): (4673, 2358, 2315),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(map(str, c)))
+    def test_pinned_counts(self, case):
+        big_m, m, weight, trials, eps, seed = case
+        report = sampling_lemma_experiment(big_m, m, weight, trials, LogEps.from_eps(eps), seed)
+        assert (report.two_sided, report.upper, report.lower) == self.PINNED[case]
+
+    def test_scratch_is_batch_sized(self):
+        # the benchmark's size: ``mpqkd validate sampling-lemma`` with 10**6 trials
+        eps = LogEps.from_eps(0.01)
+        peak = traced_peak(sampling_lemma_experiment, 2000, 1000, 100, 10**6, eps, seed=0)
+        # 2**20-trial batches with their float64 temporaries peak near 39 MB
+        assert peak < 4 * 2**20
 
     def test_reproducible(self):
         eps = LogEps.from_eps(0.05)
@@ -435,6 +515,12 @@ class TestECToy:
         report = ec_toy_run(parties, key_bits, q, LogEps.from_eps(eps_ec), radius, trials, seed)
         counts = (report.failures, report.aborts, report.leakage_bits, report.degenerate)
         assert counts == self.PINNED[case]
+
+    def test_hash_table_is_built_in_slices(self):
+        # the benchmark's size: ``mpqkd validate ec-toy`` with 10**5 trials
+        peak = traced_peak(ec_toy_run, 3, 12, 0.05, LogEps.from_eps(2.0**-6), 3, 10**5, seed=0)
+        # the whole (ball, batch) uint64 table and its comparison peak near 34 MB
+        assert peak < 8 * 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(
