@@ -30,12 +30,13 @@ Every pass is split into contiguous segments of ``_BLOCK``-row blocks, one
 per usable CPU at most, and each segment is tallied on its own thread from
 streams positioned at its first word by the third identity.  Tallies are
 integer sums, so the counts are the same for any partition, and ``_BLOCK``
-changes no count.  The local model's flags are one C-order sequence per
-pass.  The global model draws ``_CHUNK`` rounds' noise flags, then their
-outcome bits, so ``_CHUNK`` fixes the draw order and is part of the
-definition of its counts; it no longer sets the scratch size, because each
-chunk is read a block at a time through two cursors, one over its noise
-words and one over its outcome bytes.
+changes no count.  Each thread holds a block's scratch of its own, so the
+peak memory grows with the number of usable CPUs.  The local model's flags
+are one C-order sequence per pass.  The global model draws ``_CHUNK`` rounds'
+noise flags, then their outcome bits, so ``_CHUNK`` fixes the draw order and
+is part of the definition of its counts; it no longer sets the scratch size,
+because each chunk is read a block at a time through two cursors, one over
+its noise words and one over its outcome bytes.
 """
 
 from __future__ import annotations
@@ -161,11 +162,6 @@ def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
     return int(np.count_nonzero(any_set))
 
 
-def _tally_parity(flags: np.ndarray, per_column: np.ndarray) -> int:
-    """The number of rows with an odd number of set flags."""
-    return int(np.count_nonzero(np.logical_xor.reduce(flags, axis=1)))
-
-
 _Tally = Tuple[np.ndarray, int]  # per-column counts, rows counted
 
 
@@ -173,17 +169,23 @@ def _tally_local(
     seed_seq: np.random.SeedSequence,
     threshold: float,
     width: int,
-    tally: Callable[[np.ndarray, np.ndarray], int],
+    parity: bool,
     lo: int,
     hi: int,
 ) -> _Tally:
     """Rows ``lo:hi`` of a local-model pass: ``width`` flip flags per row, one
-    C-order sequence, handed to ``tally`` ``_BLOCK`` rows at a time."""
+    C-order sequence, read ``_BLOCK`` rows at a time.  Counts each column's
+    flips and the rows with any flip, or with ``parity`` only the rows with an
+    odd number of flips."""
     per_column = np.zeros(width, dtype=np.int64)
     rows_hit = 0
     stream = _stream(seed_seq, lo * width)
     for rows in _chunks(hi - lo, _BLOCK):
-        rows_hit += tally(_below(stream, (rows, width), threshold), per_column)
+        flags = _below(stream, (rows, width), threshold)
+        if parity:
+            rows_hit += int(np.count_nonzero(np.logical_xor.reduce(flags, axis=1)))
+        else:
+            rows_hit += _tally_columns(flags, per_column)
     return per_column, rows_hit
 
 
@@ -224,11 +226,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _tally_pass(tally_rows: Callable[[int, int], _Tally], total: int, chunk: int) -> _Tally:
+def _tally_pass(
+    tally_rows: Callable[[int, int], _Tally], total: int, chunk: Optional[int] = None
+) -> _Tally:
     """Sum ``tally_rows(lo, hi)`` over contiguous segments of a pass's blocks,
-    ``_BLOCK`` rows from the start of each ``chunk``, one thread per segment."""
+    one thread per segment; the blocks are ``_BLOCK`` rows from the start of
+    each ``chunk`` rows, or of the whole pass."""
     from concurrent.futures import ThreadPoolExecutor  # not loaded by ``import mpqkd``
 
+    chunk = chunk or total
     starts = [
         first + start
         for first in range(0, total, chunk)
@@ -278,9 +284,9 @@ def simulate_rounds(
         chunk = _CHUNK
     else:
         # one flip flag per (round, Bob), drawn in C order
-        z_pass = functools.partial(_tally_local, z_seq, nu / 2.0, n_bobs, _tally_columns)
-        x_pass = functools.partial(_tally_local, x_seq, nu / 2.0, n_bobs, _tally_parity)
-        chunk = counts.m  # either pass whole
+        z_pass = functools.partial(_tally_local, z_seq, nu / 2.0, n_bobs, False)
+        x_pass = functools.partial(_tally_local, x_seq, nu / 2.0, n_bobs, True)
+        chunk = None
     ab_errors, z_errors = _tally_pass(z_pass, counts.m, chunk)
     _, x_errors = _tally_pass(x_pass, x_rounds, chunk)
 

@@ -111,10 +111,13 @@ def replay_ec_toy_run(parties, key_bits, q, eps_ec, radius, trials, seed):
 
 
 def traced_peak(run, *args, **kwargs):
-    """Peak bytes that tracemalloc sees allocated while ``run`` runs."""
+    """Peak bytes that tracemalloc sees allocated while ``run`` runs, with
+    ``simulate_rounds`` held at two threads: each thread holds a block of
+    scratch of its own, so the peak grows with the usable CPU count."""
     tracemalloc.start()
     try:
-        run(*args, **kwargs)
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
+            run(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -372,6 +375,9 @@ class TestRawWordIdentities:
         b.read(4 * -(-before // 4))
         got = b.read(count) >= 128
         np.testing.assert_array_equal(got, expected.astype(bool))
+        # the next uint32 word, carried half or fresh, is the next four bytes
+        b.read(-count % 4)
+        assert a.integers(0, 2**32, dtype=np.uint32) == b.read(4).view("<u4")[0]
         assert a.random() == b.stream.random()
 
     def test_positioned_at_every_word_below_1000(self):
