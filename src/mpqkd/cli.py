@@ -58,6 +58,13 @@ def _die_usage(message: str) -> "SystemExit":
     return SystemExit(USAGE_ERROR)
 
 
+def _finite(key: str, value: float) -> float:
+    """``value``, which becomes a round count, so it must be finite."""
+    if not math.isfinite(value):
+        raise _die_usage(f"--{key} must be finite, got {value}")
+    return value
+
+
 def _parse_grid(spec: str, log10: bool = False) -> List[float]:
     """Grid syntax: either 'a,b,c' or 'lo:hi:steps' (inclusive linspace)."""
     if ":" in spec:
@@ -226,7 +233,7 @@ def cmd_finite(conf: Dict) -> int:
         scenario = NoiseScenario(_model(conf["model"]), nu=2.0 * q_ab, parties=parties)
         stats = expected_observed_stats(scenario)
         for rounds_f in _parse_grid(conf["rounds"], log10=True):
-            total = int(round(rounds_f))
+            total = int(round(_finite("rounds", rounds_f)))
             row = {"parties": parties, "rounds": total}
             for kind, tag in ((Protocol.N_BB84, "bb84"), (Protocol.N_SIX_STATE, "sixstate")):
                 try:
@@ -270,12 +277,11 @@ def cmd_threshold(conf: Dict) -> int:
     """six-state/BB84 crossover round counts"""
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
+    l_max = int(_finite("lmax", float(conf["lmax"])))
     rows = []
     for parties in _parse_int_list(conf["parties"]):
         for q_ab in _parse_grid(conf["qab"]):
-            lbar = threshold_L(
-                q_ab, parties, target, l_max=int(float(conf["lmax"])), search_config=search
-            )
+            lbar = threshold_L(q_ab, parties, target, l_max=l_max, search_config=search)
             rows.append({"q_ab": q_ab, "parties": parties, "threshold_rounds": lbar})
     rows.sort(key=lambda r: (r["parties"], r["q_ab"]))
     _write(conf, "rows", rows, ["q_ab", "parties", "threshold_rounds"])
@@ -296,9 +302,8 @@ THRESHOLD = (
 def cmd_simulate(conf: Dict) -> int:
     """Monte Carlo protocol rounds"""
     scenario = NoiseScenario(_model(conf["model"]), nu=float(conf["noise"]), parties=int(conf["parties"]))
-    config = ProtocolConfig(
-        Protocol(conf["protocol"]), int(conf["parties"]), int(float(conf["rounds"])), float(conf["p"])
-    )
+    rounds = int(_finite("rounds", float(conf["rounds"])))
+    config = ProtocolConfig(Protocol(conf["protocol"]), int(conf["parties"]), rounds, float(conf["p"]))
     report = simulate_rounds(scenario, config, seed=int(conf["seed"]))
     rates = {"q_ab": report.q_ab, "q_x": report.q_x, "q_z": report.q_z}
     _write(conf, "report", {**asdict(report), **rates})

@@ -17,26 +17,28 @@ behind them, by three identities:
   ``next64`` as ``random()`` does.
 * ``integers(0, 2, k, dtype=np.uint8)`` returns the top bit of each byte,
   low byte first, of ``ceil(k / 4)`` successive ``next_uint32`` words.
-  ``next_uint32`` returns the low half of a fresh raw word and carries its
-  high half to the next ``next_uint32`` call, past any ``next64`` calls in
-  between; so successive ``uint32`` words are the little-endian bytes of
-  successive raw words, and a draw of an odd number of them leaves a
-  half-word carried into the next draw.
+  ``next_uint32`` returns the low half of a fresh raw word and then its high
+  half, so a draw that starts on a whole raw word reads the little-endian
+  bytes of ``ceil(k / 8)`` successive raw words.
 * The stream after ``w`` raw words is ``Philox(seed).advance(w // 4)`` with
   ``w % 4`` more words drawn and dropped: each step of the Philox counter
   makes four words, and ``advance`` empties the four-word buffer.
 
+The local model's flags are one C-order sequence per pass.  The global model
+draws ``_CHUNK`` rounds' noise flags, then their outcome bits, so ``_CHUNK``
+fixes the draw order and is part of the definition of its counts.  Every
+chunk and every block starts on a whole raw word: ``_BLOCK % 8 == 0`` and
+``_CHUNK % _BLOCK == 0``.  So every chunk but a pass's last draws whole raw
+words of outcomes, and the streams of any chunk or block are positioned by
+the third identity alone, with no half-word carried between draws.
+
 Every pass is split into contiguous segments of ``_BLOCK``-row blocks, one
 per usable CPU at most, and each segment is tallied on its own thread from
-streams positioned at its first word by the third identity.  Tallies are
-integer sums, so the counts are the same for any partition, and ``_BLOCK``
-changes no count.  Each thread holds a block's scratch of its own, so the
-peak memory grows with the number of usable CPUs.  The local model's flags
-are one C-order sequence per pass.  The global model draws ``_CHUNK`` rounds'
-noise flags, then their outcome bits, so ``_CHUNK`` fixes the draw order and
-is part of the definition of its counts; it no longer sets the scratch size,
-because each chunk is read a block at a time through two cursors, one over
-its noise words and one over its outcome bytes.
+streams positioned at its first word.  Tallies are integer sums, so the
+counts are the same for any partition, and ``_BLOCK`` changes no count.  Each
+thread holds a block's scratch of its own, so the peak memory grows with the
+number of usable CPUs.  A global-model chunk is read a block at a time from
+two streams, one over its noise words and one over its outcome words.
 """
 
 from __future__ import annotations
@@ -135,21 +137,12 @@ def _below(stream: np.random.Generator, shape: Tuple[int, ...], threshold: float
     return np.asfortranarray(words < np.uint64(scaled << 11))
 
 
-class _Bytes:
-    """The little-endian bytes of ``stream``'s raw words, read in order; by
-    the second identity above, their top bits are ``uint8`` coin flips."""
-
-    def __init__(self, stream: np.random.Generator):
-        self.stream = stream
-        self.head = np.empty(0, dtype=np.uint8)  # unread bytes of the last word
-
-    def read(self, count: int) -> np.ndarray:
-        words = self.stream.bit_generator.random_raw(-(-(count - len(self.head)) // 8))
-        data = words.astype("<u8", copy=False).view(np.uint8)
-        if len(self.head):
-            data = np.concatenate([self.head, data])
-        self.head = data[count:]
-        return data[:count]
+def _bytes(stream: np.random.Generator, count: int) -> np.ndarray:
+    """The first ``count`` little-endian bytes of ``stream``'s next
+    ``ceil(count / 8)`` raw words; by the second identity above, their top
+    bits are ``uint8`` coin flips."""
+    words = stream.bit_generator.random_raw(-(-count // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:count]
 
 
 def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
@@ -196,26 +189,20 @@ def _tally_global(
     outcome bits per round: per column, the noisy rounds whose outcome bit is
     set, and the noisy rounds with any bit set."""
     per_column = np.zeros(width, dtype=np.int64)
-    rows_hit = first = halves = 0  # rows and uint32 outcome words of earlier chunks
-    for rows in _chunks(total, _CHUNK):
+    rows_hit = 0
+    for first in range(lo - lo % _CHUNK, hi, _CHUNK):
+        rows = min(_CHUNK, total - first)
         start, stop = max(lo - first, 0), min(hi - first, rows)
-        if start < stop:
-            drawn = -(-halves // 2)  # raw outcome words of earlier chunks
-            noise = _stream(seed_seq, first + drawn + start)
-            # this chunk's outcome words follow its noise words, but a carried
-            # half-word is the high half of the last outcome word before them
-            word, skip = divmod(4 * halves + start * width, 8)
-            outcomes = _Bytes(_stream(seed_seq, first + word + (rows if word >= drawn else 0)))
-            outcomes.read(skip)
-            if word < drawn:
-                outcomes.stream = _stream(seed_seq, first + rows + drawn)
-            for size in _chunks(stop - start, _BLOCK):
-                noisy = _below(noise, (size,), threshold)
-                bits = outcomes.read(size * width).reshape(size, width)
-                # noiseless rounds never disagree
-                rows_hit += _tally_columns(np.compress(noisy, bits, axis=0) >= 128, per_column)
-        first += rows
-        halves += -(-rows * width // 4)
+        # each earlier chunk is whole, so it drew its noise words and then
+        # ``_CHUNK * width / 8`` outcome words; this chunk's follow in that order
+        word = first // 8 * (8 + width)
+        noise = _stream(seed_seq, word + start)
+        outcomes = _stream(seed_seq, word + rows + start * width // 8)
+        for size in _chunks(stop - start, _BLOCK):
+            noisy = _below(noise, (size,), threshold)
+            bits = _bytes(outcomes, size * width).reshape(size, width)
+            # noiseless rounds never disagree
+            rows_hit += _tally_columns(np.compress(noisy, bits, axis=0) >= 128, per_column)
     return per_column, rows_hit
 
 
@@ -226,20 +213,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _tally_pass(
-    tally_rows: Callable[[int, int], _Tally], total: int, chunk: Optional[int] = None
-) -> _Tally:
-    """Sum ``tally_rows(lo, hi)`` over contiguous segments of a pass's blocks,
-    one thread per segment; the blocks are ``_BLOCK`` rows from the start of
-    each ``chunk`` rows, or of the whole pass."""
+def _tally_pass(tally_rows: Callable[[int, int], _Tally], total: int) -> _Tally:
+    """Sum ``tally_rows(lo, hi)`` over contiguous segments of a pass's
+    ``_BLOCK``-row blocks, one thread per segment."""
     from concurrent.futures import ThreadPoolExecutor  # not loaded by ``import mpqkd``
 
-    chunk = chunk or total
-    starts = [
-        first + start
-        for first in range(0, total, chunk)
-        for start in range(0, min(chunk, total - first), _BLOCK)
-    ]
+    starts = range(0, total, _BLOCK)
     workers = min(_usable_cpus(), len(starts))
     cuts = [starts[len(starts) * k // workers] for k in range(workers)] + [total]
     with ThreadPoolExecutor(workers) as pool:
@@ -281,14 +260,12 @@ def simulate_rounds(
         # each chunk draws its rounds' noise flags, then their outcome bits
         z_pass = functools.partial(_tally_global, z_seq, nu, n_bobs, counts.m)
         x_pass = functools.partial(_tally_global, x_seq, nu, 1, x_rounds)
-        chunk = _CHUNK
     else:
         # one flip flag per (round, Bob), drawn in C order
         z_pass = functools.partial(_tally_local, z_seq, nu / 2.0, n_bobs, False)
         x_pass = functools.partial(_tally_local, x_seq, nu / 2.0, n_bobs, True)
-        chunk = None
-    ab_errors, z_errors = _tally_pass(z_pass, counts.m, chunk)
-    _, x_errors = _tally_pass(x_pass, x_rounds, chunk)
+    ab_errors, z_errors = _tally_pass(z_pass, counts.m)
+    _, x_errors = _tally_pass(x_pass, x_rounds)
 
     return SimulationReport(
         ab_errors=tuple(int(e) for e in ab_errors),

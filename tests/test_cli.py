@@ -316,6 +316,31 @@ def test_empty_search_in_config_file_is_usage_error(tmp_path, capsys):
     assert "--starts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["threshold", "--lmax", "inf"], "--lmax"),
+        (["simulate", "--rounds", "inf"], "--rounds"),
+        (["simulate", "--rounds", "1e400"], "--rounds"),
+        (["finite", "--rounds", "1e5,inf", "--starts", "1", "--max-evals", "50"], "--rounds"),
+    ],
+)
+def test_non_finite_round_count_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got inf\n"
+
+
+def test_non_finite_round_count_in_config_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text('{"rounds": 1e400}')  # json reads a number this large as inf
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--config", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: --rounds must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("check", ["sampling-lemma", "ec-toy"])
 def test_empty_trial_count_is_usage_error(capsys, check):
     assert main(["validate", check, "--trials", "0"]) == 2

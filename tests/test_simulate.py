@@ -123,6 +123,15 @@ def traced_peak(run, *args, **kwargs):
         tracemalloc.stop()
 
 
+@st.composite
+def aligned_grids(draw):
+    """A ``(_CHUNK, _BLOCK)`` pair that keeps ``simulate``'s precondition:
+    blocks of whole raw words and chunks of whole blocks, 64 to 2**14 rows."""
+    block = 8 * draw(st.integers(min_value=1, max_value=2**7))
+    chunk = block * draw(st.integers(min_value=-(-64 // block), max_value=2**14 // block))
+    return chunk, block
+
+
 def binomial_band(p, count, sigmas=5.0):
     return sigmas * math.sqrt(max(p * (1.0 - p), 1e-12) / count)
 
@@ -261,6 +270,12 @@ class TestSimulateRounds:
         assert (report.ab_errors, report.x_errors, report.z_errors) == self.PINNED[case]
         assert all(type(c) is int for c in report.ab_errors + (report.x_errors,))
 
+    def test_chunks_and_blocks_start_on_whole_raw_words(self):
+        # the global model positions every chunk and block at a raw word,
+        # which holds only while no uint32 half-word is carried into one
+        assert simulate._BLOCK % 8 == 0
+        assert simulate._CHUNK % simulate._BLOCK == 0
+
     @settings(max_examples=60, deadline=None)
     @given(
         model=st.sampled_from([GLOBAL, LOCAL]),
@@ -269,28 +284,31 @@ class TestSimulateRounds:
         nu=st.floats(min_value=0.0, max_value=1.0),
         total=st.integers(min_value=8, max_value=2 * 10**5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        chunk=st.integers(min_value=64, max_value=2**14),
-        block=st.integers(min_value=1, max_value=2**10),
+        grid=aligned_grids(),
         segments=st.integers(min_value=1, max_value=5),
     )
     # nu = 1 puts the global model's noise threshold at the all-true edge
-    @example(GLOBAL, SIX, 3, 0.0, 5000, 1, 700, 3, 2)
-    @example(GLOBAL, BB84, 4, 1.0, 5000, 2, 700, 3, 2)
-    @example(LOCAL, SIX, 3, 0.0, 5000, 3, 700, 1, 2)
-    @example(LOCAL, BB84, 4, 1.0, 5000, 4, 700, 1, 2)
-    # 700 rounds of 3 Bobs, or of the X pass's one bit, are an odd number of
-    # uint32 words, so every other chunk starts with a carried half-word
-    @example(GLOBAL, SIX, 4, 0.5, 40000, 5, 700, 3, 1)
-    @example(GLOBAL, SIX, 4, 0.5, 40000, 6, 700, 5, 2)
-    @example(GLOBAL, BB84, 4, 0.5, 40000, 7, 700, 7, 3)
-    @example(GLOBAL, SIX, 4, 0.5, 40000, 8, 700, 1, 4)
-    @example(GLOBAL, BB84, 4, 0.5, 40000, 9, 700, 2, 5)
-    @example(LOCAL, SIX, 4, 0.5, 40000, 10, 700, 3, 5)
+    @example(GLOBAL, SIX, 3, 0.0, 5000, 1, (704, 8), 2)
+    @example(GLOBAL, BB84, 4, 1.0, 5000, 2, (704, 8), 2)
+    @example(LOCAL, SIX, 3, 0.0, 5000, 3, (704, 8), 2)
+    @example(LOCAL, BB84, 4, 1.0, 5000, 4, (704, 8), 2)
+    # m = 7500 rounds end in a partial 332-round chunk with a partial last
+    # block; its outcomes are an odd number of uint32 words for 3 Bobs, and
+    # in N-BB84's X pass; three or five segments cut inside chunks
+    @example(GLOBAL, SIX, 4, 0.5, 30000, 5, (1024, 64), 3)
+    @example(GLOBAL, BB84, 4, 0.5, 30000, 6, (1024, 64), 1)
+    @example(LOCAL, SIX, 4, 0.5, 30000, 7, (1024, 64), 5)
+    # X passes that end in 1356 and 1404 rounds, 339 and 351 uint32 words
+    @example(GLOBAL, BB84, 3, 0.5, 30000, 8, (2048, 8), 2)
+    @example(GLOBAL, SIX, 10, 0.5, 44000, 9, (4096, 1024), 4)
+    # whole chunks only, and every segment cut on a chunk boundary
+    @example(GLOBAL, BB84, 4, 0.5, 40000, 10, (2000, 16), 5)
     def test_matches_whole_array_replay(
-        self, model, kind, parties, nu, total, seed, chunk, block, segments
+        self, model, kind, parties, nu, total, seed, grid, segments
     ):
         scenario = NoiseScenario(model, nu, parties)
         config = ProtocolConfig(kind, parties, total, 0.25)
+        chunk, block = grid
         # small chunks and blocks put their boundaries and partial ones at every
         # scale, and up to five threads' segments split them anywhere
         with mock.patch.object(simulate, "_CHUNK", chunk), mock.patch.object(
@@ -366,19 +384,14 @@ class TestRawWordIdentities:
     @example(4, 5, 13)
     @example(5, 7, 7)
     def test_uint8_bits_are_top_bits_of_uint32_words(self, seed, before, count):
-        a = _philox(seed)
-        # an odd number of earlier uint32 words leaves a half-word carried
-        a.integers(0, 2, size=before, dtype=np.uint8)
+        a, b = _philox(seed), _philox(seed)
+        # a draw that starts on a whole raw word
+        a.random(before)
+        b.random(before)
         expected = a.integers(0, 2, size=count, dtype=np.uint8)
-        # the raw words' bytes, after the four of each earlier uint32 word
-        b = simulate._Bytes(_philox(seed))
-        b.read(4 * -(-before // 4))
-        got = b.read(count) >= 128
+        got = simulate._bytes(b, count) >= 128
         np.testing.assert_array_equal(got, expected.astype(bool))
-        # the next uint32 word, carried half or fresh, is the next four bytes
-        b.read(-count % 4)
-        assert a.integers(0, 2**32, dtype=np.uint32) == b.read(4).view("<u4")[0]
-        assert a.random() == b.stream.random()
+        assert a.random() == b.random()
 
     def test_positioned_at_every_word_below_1000(self):
         seed_seq = np.random.SeedSequence(2024)
@@ -391,26 +404,20 @@ class TestRawWordIdentities:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         word=st.integers(min_value=0, max_value=10**6),
-        carried=st.booleans(),
         count=st.integers(min_value=1, max_value=100),
     )
-    @example(1, 0, False, 1)
-    @example(2, 3, True, 3)
-    @example(3, 4, True, 4)
-    @example(4, 5, True, 5)
-    @example(5, 7, False, 13)
-    def test_positioned_stream_continues_the_drawn_one(self, seed, word, carried, count):
+    @example(1, 0, 1)
+    @example(2, 3, 3)
+    @example(3, 4, 4)
+    @example(4, 5, 5)
+    @example(5, 7, 13)
+    def test_positioned_stream_continues_the_drawn_one(self, seed, word, count):
         a = _philox(seed)
         a.bit_generator.random_raw(word)
-        b = simulate._Bytes(simulate._stream(np.random.SeedSequence(seed), word))
-        if carried:
-            # a uint32 word takes the low half of the next raw word and
-            # carries its high half into the next draw
-            a.integers(0, 2**32, dtype=np.uint32)
-            b.read(4)
+        b = simulate._stream(np.random.SeedSequence(seed), word)
         expected = a.integers(0, 2, size=count, dtype=np.uint8)
-        np.testing.assert_array_equal(b.read(count) >= 128, expected.astype(bool))
-        assert a.random() == b.stream.random()
+        np.testing.assert_array_equal(simulate._bytes(b, count) >= 128, expected.astype(bool))
+        assert a.random() == b.random()
 
 
 class TestSamplingLemma:
