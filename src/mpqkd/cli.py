@@ -65,13 +65,29 @@ def _finite(key: str, value: float) -> float:
     return value
 
 
-def _parse_grid(spec: str, log10: bool = False) -> List[float]:
-    """Grid syntax: either 'a,b,c' or 'lo:hi:steps' (inclusive linspace)."""
+def _round_count(key: str, value: float) -> int:
+    """``value`` rounded to a round count, which must be finite and at least 1."""
+    total = int(round(_finite(key, value)))
+    if total < 1:
+        raise _die_usage(f"--{key} must be at least 1, got {value}")
+    return total
+
+
+def _parse_grid(
+    spec: str, log10: bool = False, check: Optional[Callable[[float], object]] = None
+) -> List[float]:
+    """Grid syntax: either 'a,b,c' or 'lo:hi:steps' (inclusive linspace).
+
+    ``check`` sees both ends of a lo:hi:steps grid before they are spaced.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise _die_usage(f"grid must be lo:hi:steps, got {spec!r}")
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        if check is not None:
+            check(lo)
+            check(hi)
         if steps < 1:
             raise _die_usage("grid needs at least one step")
         if steps == 1:
@@ -228,12 +244,13 @@ def cmd_finite(conf: Dict) -> int:
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
     q_ab = float(conf["qab"])
+    grid = _parse_grid(conf["rounds"], log10=True, check=lambda v: _round_count("rounds", v))
+    round_counts = [_round_count("rounds", v) for v in grid]
     rows = []
     for parties in _parse_int_list(conf["parties"]):
         scenario = NoiseScenario(_model(conf["model"]), nu=2.0 * q_ab, parties=parties)
         stats = expected_observed_stats(scenario)
-        for rounds_f in _parse_grid(conf["rounds"], log10=True):
-            total = int(round(_finite("rounds", rounds_f)))
+        for total in round_counts:
             row = {"parties": parties, "rounds": total}
             for kind, tag in ((Protocol.N_BB84, "bb84"), (Protocol.N_SIX_STATE, "sixstate")):
                 try:

@@ -323,6 +323,8 @@ def test_empty_search_in_config_file_is_usage_error(tmp_path, capsys):
         (["simulate", "--rounds", "inf"], "--rounds"),
         (["simulate", "--rounds", "1e400"], "--rounds"),
         (["finite", "--rounds", "1e5,inf", "--starts", "1", "--max-evals", "50"], "--rounds"),
+        # the log-spaced grid's ends are checked before they are spaced
+        (["finite", "--rounds", "1e5:inf:3", "--starts", "1", "--max-evals", "50"], "--rounds"),
     ],
 )
 def test_non_finite_round_count_is_usage_error(capsys, argv, flag):
@@ -330,6 +332,25 @@ def test_non_finite_round_count_is_usage_error(capsys, argv, flag):
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().err == f"error: {flag} must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "rounds, shown",
+    [
+        ("0.4", "0.4"),  # rounds to L = 0
+        ("-5", "-5.0"),
+        ("1e5,0", "0.0"),
+        ("0:1e5:3", "0.0"),  # a log-spaced grid cannot start at 0
+        ("-1e3:1e5:3", "-1000.0"),
+    ],
+)
+def test_round_count_below_one_is_usage_error(capsys, rounds, shown):
+    with pytest.raises(SystemExit) as err:
+        main(["finite", f"--rounds={rounds}", "--starts", "1", "--max-evals", "50"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --rounds must be at least 1, got {shown}\n"
+    assert captured.out == ""
 
 
 def test_non_finite_round_count_in_config_file_is_usage_error(tmp_path, capsys):

@@ -36,6 +36,7 @@ from mpqkd.optimize import (
     stats_from_qab_global,
     threshold_L,
 )
+from test_zero_certificate import LOG_WEIGHTS, log_uniform_shares
 
 TARGET = LogEps.from_eps(5e-9)
 FAST = SearchConfig(max_evaluations=600, starts=3, seed=11)
@@ -46,15 +47,6 @@ def random_shares(rng, kind):
     w = rng.uniform(0.1, 1.0, k)
     w = w / w.sum()
     return BudgetShares(float(rng.uniform(0.01, 0.4)), tuple(float(v) for v in w))
-
-
-def log_uniform_shares(kind, p, log_weights):
-    """Shares from log-uniform weight draws; 1e-12 draws sit near the simplex edge."""
-    raw = [math.exp(v) for v in log_weights[: len(budget_components(kind))]]
-    return BudgetShares(p, tuple(w / sum(raw) for w in raw))
-
-
-LOG_WEIGHTS = st.lists(st.floats(math.log(1e-12), 0.0), min_size=6, max_size=6)
 
 
 class TestAllocateBudget:
@@ -256,7 +248,8 @@ def replay_optimize_rate(kind, parties, total_rounds, stats, eps_tot_target, cfg
     Each evaluation builds ``BudgetShares`` and a ``ProtocolConfig``, splits
     the budget through the public ``allocate_budget`` and scores it with the
     public ``key_length_*``; the starts, ``_softmax`` and the line searches
-    are those of ``optimize_rate``.
+    are those of ``optimize_rate``.  Where the zero-rate certificate holds,
+    the equal-shares start is the only point scored.
     """
     n_weights = len(budget_components(kind))
     m_min = 2 if kind is Protocol.N_SIX_STATE else 1
@@ -267,6 +260,13 @@ def replay_optimize_rate(kind, parties, total_rounds, stats, eps_tot_target, cfg
     lp_lo, lp_hi = math.log(p_min), math.log(p_max)
 
     evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+    target = eps_tot_target.neg_log2
+    if optimize._certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max):
+        p = math.exp(math.log(min(max(0.05, p_min), p_max)))
+        shares = BudgetShares(p, tuple([1.0 / n_weights] * n_weights))
+        config = ProtocolConfig(kind, parties, total_rounds, p)
+        budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
+        return OptimizedRate(0.0, shares, evaluator(config, stats, budget), 1)
     evaluations = 0
 
     def evaluate(theta, lp):
