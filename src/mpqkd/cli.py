@@ -65,9 +65,9 @@ def _finite(key: str, value: float) -> float:
     return value
 
 
-def _round_count(key: str, value: float) -> int:
-    """``value`` rounded to a round count, which must be finite and at least 1."""
-    total = int(round(_finite(key, value)))
+def _round_count(key: str, value: float, convert: Callable[[float], int] = round) -> int:
+    """``value`` made a round count by ``convert``; it must be finite and at least 1."""
+    total = int(convert(_finite(key, value)))
     if total < 1:
         raise _die_usage(f"--{key} must be at least 1, got {value}")
     return total
@@ -294,7 +294,7 @@ def cmd_threshold(conf: Dict) -> int:
     """six-state/BB84 crossover round counts"""
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
-    l_max = int(_finite("lmax", float(conf["lmax"])))
+    l_max = _round_count("lmax", float(conf["lmax"]), int)
     rows = []
     for parties in _parse_int_list(conf["parties"]):
         for q_ab in _parse_grid(conf["qab"]):
@@ -319,7 +319,7 @@ THRESHOLD = (
 def cmd_simulate(conf: Dict) -> int:
     """Monte Carlo protocol rounds"""
     scenario = NoiseScenario(_model(conf["model"]), nu=float(conf["noise"]), parties=int(conf["parties"]))
-    rounds = int(_finite("rounds", float(conf["rounds"])))
+    rounds = _round_count("rounds", float(conf["rounds"]), int)
     config = ProtocolConfig(Protocol(conf["protocol"]), int(conf["parties"]), rounds, float(conf["p"]))
     report = simulate_rounds(scenario, config, seed=int(conf["seed"]))
     rates = {"q_ab": report.q_ab, "q_x": report.q_x, "q_z": report.q_z}

@@ -16,11 +16,15 @@ than an exception.
 
 Every formula has one private core on plain floats: the round counts, the
 eps_PE / eps_tot compositions (``neg_log2`` exponents in, both exponents
-out), the Gamma_PE corner and the key-length terms.  The rate optimizer
-scores each candidate point through these cores alone; the public functions
-validate their arguments, call the same cores and wrap the results in
-``LogEps``, ``KeyLengthResult`` and friends, so objects are built only for
-the points a caller asks about.
+out, each a fixed-arity log-sum-exp), the Gamma_PE corner and the
+key-length terms.  The cores take what depends only on N and L (log2(N-1),
+the postselection bits) and what depends only on p (``_round_terms``: m, n,
+m', L h(p), ln(m+1), ln(m'+1)) precomputed, so the rate optimizer computes
+each once per optimum or once per p and scores each candidate point through
+these cores alone.  The public functions validate their arguments, build
+the same terms with the same helpers, call the same cores and wrap the
+results in ``LogEps``, ``KeyLengthResult`` and friends, so objects are built
+only for the points a caller asks about.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .noise import MarginalProbabilities, ObservedStats
-from .numerics import LogEps, _eta, _log2_one_minus, _sum_neg, _xi, binary_entropy, xlog2x
+from .numerics import LogEps, _eta, _log2_one_minus, _log_sum, _xi, binary_entropy, xlog2x
 
 __all__ = [
     "Protocol",
@@ -107,6 +112,17 @@ def _counts(kind: Protocol, total_rounds: int, p: float) -> Tuple[int, int, int]
     return m, n, m_prime
 
 
+# what the key-length cores take from p: m, n, m', the preshared cost L h(p),
+# ln(m+1) and ln(m'+1)
+_Rounds = Tuple[int, int, int, float, float, float]
+
+
+def _round_terms(kind: Protocol, total_rounds: int, p: float) -> _Rounds:
+    m, n, m_prime = _counts(kind, total_rounds, p)
+    preshared = total_rounds * binary_entropy(p)
+    return m, n, m_prime, preshared, math.log(m + 1), math.log(m_prime + 1)
+
+
 def _check_stats(kind: Protocol, parties: int, stats: ObservedStats) -> None:
     if len(stats.q_ab) != parties - 1:
         raise ValueError("need one Q_AB entry per Bob")
@@ -149,41 +165,53 @@ def _negs(budget: SecurityBudget, kind: Protocol) -> Tuple[float, ...]:
     return tuple(getattr(budget, name).neg_log2 for name in budget_components(kind))
 
 
-def _compose_nbb84(negs, parties: int) -> Tuple[float, float]:
-    """(eps_PE, eps_tot) exponents of the (z, x, ec, pa) exponents."""
+def _compose_nbb84(negs, log2_bobs: float) -> Tuple[float, float]:
+    """(eps_PE, eps_tot) exponents of the (z, x, ec, pa) exponents.
+
+    ``log2_bobs`` is log2(N-1), the shift of the (N-1) eps_z term.
+    """
     z, x, ec, pa = negs
-    pe = _sum_neg([(parties - 1, z), (1.0, x)]) / 2.0
-    return pe, _sum_neg([(2.0, pe), (1.0, ec), (1.0, pa)])
+    pe = _log_sum(z - log2_bobs, x) / 2.0
+    return pe, _log_sum(pe - 1.0, ec, pa)
 
 
-def _compose_nsixstate(negs, parties: int, total_rounds: int) -> Tuple[float, float]:
-    """(eps_PE, eps_tot) exponents of the (bar, z, x, z', ec, pa) exponents."""
+def _compose_nsixstate(negs, log2_bobs: float, ps_bits: float) -> Tuple[float, float]:
+    """(eps_PE, eps_tot) exponents of the (bar, z, x, z', ec, pa) exponents.
+
+    ``log2_bobs`` is log2(N-1) and ``ps_bits`` the ``postselection_bits``.
+    """
     bar, z, x, zp, ec, pa = negs
-    pe = _sum_neg([(1.0, zp), (parties - 1, z), (1.0, x)])
-    inner = _sum_neg([(2.0, bar), (1.0, pe), (1.0, ec), (1.0, pa)])
-    return pe, inner - postselection_exponent(parties) * math.log2(total_rounds + 1)
+    pe = _log_sum(zp, z - log2_bobs, x)
+    return pe, _log_sum(bar - 1.0, pe, ec, pa) - ps_bits
 
 
 def epsilon_pe_nbb84(budget: SecurityBudget, parties: int) -> LogEps:
     """eps_PE = sqrt((N-1) eps_z + eps_x)."""
-    return LogEps(_compose_nbb84(_negs(budget, Protocol.N_BB84), parties)[0])
+    negs = _negs(budget, Protocol.N_BB84)
+    return LogEps(_compose_nbb84(negs, math.log2(parties - 1))[0])
 
 
 def epsilon_pe_nsixstate(budget: SecurityBudget, parties: int) -> LogEps:
     """eps_PE = eps_z' + (N-1) eps_z + eps_x."""
     # eps_PE does not depend on L; only eps_tot carries the postselection factor
     negs = _negs(budget, Protocol.N_SIX_STATE)
-    return LogEps(_compose_nsixstate(negs, parties, total_rounds=0)[0])
+    return LogEps(_compose_nsixstate(negs, math.log2(parties - 1), 0.0)[0])
 
 
 def epsilon_total_nbb84(budget: SecurityBudget, parties: int) -> LogEps:
     """eps_tot = 2 eps_PE + eps_EC + eps_PA."""
-    return LogEps(_compose_nbb84(_negs(budget, Protocol.N_BB84), parties)[1])
+    negs = _negs(budget, Protocol.N_BB84)
+    return LogEps(_compose_nbb84(negs, math.log2(parties - 1))[1])
 
 
 def postselection_exponent(parties: int) -> int:
     """The postselection blow-up exponent 2^(2N) - 1."""
     return 2 ** (2 * parties) - 1
+
+
+def postselection_bits(parties: int, total_rounds: int) -> float:
+    """log2 of the postselection factor (L+1)^(2^(2N)-1)."""
+    return postselection_exponent(parties) * math.log2(total_rounds + 1)
 
 
 def epsilon_total_nsixstate(budget: SecurityBudget, parties: int, total_rounds: int) -> LogEps:
@@ -193,7 +221,8 @@ def epsilon_total_nsixstate(budget: SecurityBudget, parties: int, total_rounds: 
     should check ``.vacuous`` rather than expect an exception.
     """
     negs = _negs(budget, Protocol.N_SIX_STATE)
-    return LogEps(_compose_nsixstate(negs, parties, total_rounds)[1])
+    ps_bits = postselection_bits(parties, total_rounds)
+    return LogEps(_compose_nsixstate(negs, math.log2(parties - 1), ps_bits)[1])
 
 
 @dataclass(frozen=True)
@@ -313,16 +342,26 @@ def _box_corner(
 
 
 def _gamma_corner(
-    stats: ObservedStats, neg_z: float, neg_x: float, neg_zp: float, m: int, m_prime: int
+    stats: ObservedStats,
+    neg_z: float,
+    neg_x: float,
+    neg_zp: float,
+    m: int,
+    m_prime: int,
+    log_m1: float,
+    log_mp1: float,
 ) -> Optional[Tuple[float, float, float, float, float]]:
-    """``_box_corner`` of the box with half-widths 2 eta from the exponents."""
+    """``_box_corner`` of the box with half-widths 2 eta from the exponents.
+
+    ``log_m1`` and ``log_mp1`` are ln(m+1) and ln(m'+1).
+    """
     return _box_corner(
         stats.q_ab,
         stats.q_x,
         stats.q_z,
-        _eta(neg_z, 2, m),
-        _eta(neg_x, 2, m_prime),
-        _eta(neg_zp, 2, m),
+        _eta(neg_z, 2, m, log_m1),
+        _eta(neg_x, 2, m_prime, log_mp1),
+        _eta(neg_zp, 2, m, log_m1),
     )
 
 
@@ -355,7 +394,8 @@ def gamma_pe_infimum(
     if m < 1 or m_prime < 1:
         raise ValueError(f"m and m' must be >= 1, got m={m}, m'={m_prime}")
     _, neg_z, neg_x, neg_zp, _, _ = _negs(budget, Protocol.N_SIX_STATE)
-    return _gamma_result(_gamma_corner(stats, neg_z, neg_x, neg_zp, m, m_prime))
+    logs = math.log(m + 1), math.log(m_prime + 1)
+    return _gamma_result(_gamma_corner(stats, neg_z, neg_x, neg_zp, m, m_prime, *logs))
 
 
 def _pa_term(neg_rob: float, neg_pa: float) -> float:
@@ -375,10 +415,10 @@ _Length = Tuple[Tuple[float, ...], float, float, bool, Optional[Tuple[float, flo
 
 
 def _nbb84_length(
-    parties: int, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe: float
+    parties: int, rounds: _Rounds, stats: ObservedStats, negs, neg_pe: float
 ) -> _Length:
     z, x, ec, pa = negs
-    m, n, _ = _counts(Protocol.N_BB84, total_rounds, p)
+    m, n, _, preshared, _, _ = rounds
     xi_x = _xi(x, n, m)
     xi_z = _xi(z, n, m)
     h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * xi_x))
@@ -388,7 +428,6 @@ def _nbb84_length(
     min_entropy_term = n * (1.0 - h_x)
     leakage_term = -n * h_ab
     ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
-    preshared = total_rounds * binary_entropy(p)
 
     if neg_rob <= 0.0:  # abort probability bound reaches 1
         terms = (min_entropy_term, leakage_term, ec_log_term, -math.inf, 0.0, preshared)
@@ -401,16 +440,15 @@ def _nbb84_length(
 
 
 def _nsixstate_length(
-    parties: int, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe: float
+    parties: int, ps_bits: float, rounds: _Rounds, stats: ObservedStats, negs, neg_pe: float
 ) -> _Length:
     bar, z, x, zp, ec, pa = negs
-    m, n, m_prime = _counts(Protocol.N_SIX_STATE, total_rounds, p)
-    corner = _gamma_corner(stats, z, x, zp, m, m_prime)
+    m, n, m_prime, preshared, log_m1, log_mp1 = rounds
+    corner = _gamma_corner(stats, z, x, zp, m, m_prime, log_m1, log_mp1)
     neg_rob = _rob(neg_pe, parties)
 
     ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
-    ps_penalty = -2.0 * postselection_exponent(parties) * math.log2(total_rounds + 1)
-    preshared = total_rounds * binary_entropy(p)
+    ps_penalty = -2.0 * ps_bits
 
     if corner is None or neg_rob <= 0.0:
         terms = (math.nan, math.nan, ec_log_term, math.nan, ps_penalty, preshared)
@@ -428,6 +466,14 @@ def _nsixstate_length(
     raw = min_entropy_term + leakage_term + ec_log_term + pa_term + ps_penalty
     terms = (min_entropy_term, leakage_term, ec_log_term, pa_term, ps_penalty, preshared)
     return terms, raw, raw - preshared, True, tuple(witness)
+
+
+def _length_core(kind: Protocol, parties: int, total_rounds: int) -> Callable[..., _Length]:
+    """The key-length core of ``kind``, with N (and for six-state the
+    postselection bits) bound: it takes (rounds, stats, negs, neg_pe)."""
+    if kind is Protocol.N_BB84:
+        return partial(_nbb84_length, parties)
+    return partial(_nsixstate_length, parties, postselection_bits(parties, total_rounds))
 
 
 def _key_length_result(length: _Length, neg_tot: float, total_rounds: int) -> KeyLengthResult:
@@ -460,10 +506,9 @@ def key_length_nbb84(
         raise ValueError(f"config is for {config.kind}, not N-BB84")
     _check_stats(config.kind, config.parties, stats)
     negs = _negs(budget, config.kind)
-    neg_pe, neg_tot = _compose_nbb84(negs, config.parties)
-    length = _nbb84_length(
-        config.parties, config.total_rounds, config.second_type_prob, stats, negs, neg_pe
-    )
+    neg_pe, neg_tot = _compose_nbb84(negs, math.log2(config.parties - 1))
+    rounds = _round_terms(config.kind, config.total_rounds, config.second_type_prob)
+    length = _nbb84_length(config.parties, rounds, stats, negs, neg_pe)
     return _key_length_result(length, neg_tot, config.total_rounds)
 
 
@@ -486,8 +531,8 @@ def key_length_nsixstate(
         raise ValueError(f"config is for {config.kind}, not N-six-state")
     negs = _negs(budget, config.kind)
     _check_stats(config.kind, config.parties, stats)
-    neg_pe, neg_tot = _compose_nsixstate(negs, config.parties, config.total_rounds)
-    length = _nsixstate_length(
-        config.parties, config.total_rounds, config.second_type_prob, stats, negs, neg_pe
-    )
+    ps_bits = postselection_bits(config.parties, config.total_rounds)
+    neg_pe, neg_tot = _compose_nsixstate(negs, math.log2(config.parties - 1), ps_bits)
+    rounds = _round_terms(config.kind, config.total_rounds, config.second_type_prob)
+    length = _nsixstate_length(config.parties, ps_bits, rounds, stats, negs, neg_pe)
     return _key_length_result(length, neg_tot, config.total_rounds)

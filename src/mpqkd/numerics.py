@@ -8,7 +8,7 @@ safely representable.  All correction terms that need ln(1/eps) read the
 exponent directly.
 
 Each formula has one implementation on plain ``neg_log2`` floats (the
-private ``_sum_neg``, ``_xi``, ``_eta`` and ``_log2_one_minus``), which the
+private ``_log_sum``, ``_xi``, ``_eta`` and ``_log2_one_minus``), which the
 rate optimizer's objective calls point by point; the public ``LogEps``
 functions validate their arguments and delegate to it.
 
@@ -124,11 +124,12 @@ def eta_correction(eps: LogEps, d: int, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    return _eta(eps.neg_log2, d, m)
+    return _eta(eps.neg_log2, d, m, math.log(m + 1))
 
 
-def _eta(neg_log2: float, d: int, m: int) -> float:
-    radicand = (neg_log2 * _LN2 + d * math.log(m + 1)) / (8.0 * m)
+def _eta(neg_log2: float, d: int, m: int, log_m1: float) -> float:
+    """``eta_correction`` on an exponent, given ln(m+1) (the cores take it per p)."""
+    radicand = (neg_log2 * _LN2 + d * log_m1) / (8.0 * m)
     if radicand < 0.0:
         raise ValueError("negative radicand: eps exceeds (m+1)^d")
     return math.sqrt(radicand)
@@ -137,8 +138,8 @@ def _eta(neg_log2: float, d: int, m: int) -> float:
 def eps_sum(terms: Iterable[Tuple[float, LogEps]]) -> LogEps:
     """Weighted sum of epsilons, sum_i c_i * eps_i, done in the log domain.
 
-    Pivots the log-sum-exp on the largest weighted term so the result never
-    underflows even when every input is far below 2^-1074.
+    Never underflows, even when every input is far below 2^-1074 (see
+    ``_log_sum``).
     """
     items = [(coeff, le.neg_log2) for coeff, le in terms]
     if not items:
@@ -146,14 +147,19 @@ def eps_sum(terms: Iterable[Tuple[float, LogEps]]) -> LogEps:
     for coeff, _ in items:
         if coeff <= 0.0:
             raise ValueError(f"coefficients must be positive, got {coeff}")
-    return LogEps(_sum_neg(items))
-
-
-def _sum_neg(terms: Iterable[Tuple[float, float]]) -> float:
-    """``eps_sum`` on (coefficient, neg_log2) pairs with positive coefficients."""
     # neg_log2 of each weighted term c * eps
-    negs = [neg - math.log2(coeff) for coeff, neg in terms]
-    pivot = min(negs)  # largest weighted epsilon
+    return LogEps(_log_sum(*[neg - math.log2(coeff) for coeff, neg in items]))
+
+
+def _log_sum(*negs: float) -> float:
+    """neg_log2 of the sum of the epsilons whose exponents are ``negs``.
+
+    Pivots the log-sum-exp on the largest epsilon, so the result never
+    underflows even when every input is far below 2^-1074.  A coefficient c
+    enters as an exponent shifted by log2(c): ``neg - 1.0`` for c = 2, and
+    ``neg`` itself for c = 1, since ``neg - 0.0 == neg``.
+    """
+    pivot = min(negs)  # largest epsilon
     acc = 0.0
     for neg in negs:
         acc += 2.0 ** (pivot - neg)

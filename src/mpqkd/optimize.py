@@ -21,12 +21,19 @@ Sobol points come from a built-in numpy engine (``_sobol``) that reproduces
 for bit, so the runtime needs numpy alone.
 
 Each of the thousands of points an optimum visits is scored on plain floats:
-the budget split (``_split``) and the key-length terms run on ``neg_log2``
-exponents through the same private cores that ``allocate_budget`` and
-``key_length_*`` wrap, with every per-point check (share positivity and sum,
-p range, round counts, Gamma_PE feasibility, eps_rob, the correction
-passes).  ``BudgetShares``, ``SecurityBudget`` and ``KeyLengthResult`` are
-built once per optimum, for the point returned, through the public wrappers.
+the budget split (``_splitter``) and the key-length terms run on
+``neg_log2`` exponents through the same private cores that
+``allocate_budget`` and ``key_length_*`` wrap, with every per-point check
+(share positivity and sum, p range, round counts, Gamma_PE feasibility,
+eps_rob, the correction passes).  What does not change between points is
+computed once per optimum: log2(N-1), the postselection bits and the
+six-state inner exponent.  Two one-entry memos inside ``optimize_rate`` skip
+the work a line search repeats: along a p line theta is fixed, so its
+weights and their split are kept; along a weight line p is fixed, so its
+round terms (m, n, m', L h(p), ln(m+1), ln(m'+1)) are kept.  Every score is
+bit-identical to one computed afresh.  ``BudgetShares``, ``SecurityBudget``
+and ``KeyLengthResult`` are built once per optimum, for the point returned,
+through the public wrappers.
 
 Before searching, a certificate (``_certified_zero``) tries to prove that no
 point has a positive net length.  Each component exponent has a floor that
@@ -59,14 +66,14 @@ from .finite_key import (
     _clamp_half,
     _compose_nbb84,
     _compose_nsixstate,
-    _nbb84_length,
-    _nsixstate_length,
+    _length_core,
     _pa_term,
     _rob,
+    _round_terms,
     budget_components,
     key_length_nbb84,
     key_length_nsixstate,
-    postselection_exponent,
+    postselection_bits,
 )
 from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
 from .numerics import _LN2, LogEps, _eta, binary_entropy
@@ -189,52 +196,69 @@ def _split(
     The components come in ``budget_components(kind)`` order; eps_PE and
     eps_tot are the exponents they compose to.
     """
-    if kind is Protocol.N_BB84:
-        w_z, w_x, w_ec, w_pa = weights
-        pair = w_z + w_x
-        neg_pe = target - math.log2(pair / 2.0)
-        negs = [
-            2.0 * neg_pe - math.log2(w_z / (pair * (parties - 1))),
-            2.0 * neg_pe - math.log2(w_x / pair),
-            target - math.log2(w_ec),
-            target - math.log2(w_pa),
-        ]
-        scale = (2.0, 2.0, 1.0, 1.0)
-    else:
-        w_bar, w_z, w_x, w_zp, w_ec, w_pa = weights
-        neg_inner = target + postselection_exponent(parties) * math.log2(total_rounds + 1)
-        negs = [
-            neg_inner - math.log2(w_bar / 2.0),
-            neg_inner - math.log2(w_z / (parties - 1)),
-            neg_inner - math.log2(w_x),
-            neg_inner - math.log2(w_zp),
-            neg_inner - math.log2(w_ec),
-            neg_inner - math.log2(w_pa),
-        ]
-        scale = (1.0,) * len(negs)
+    return _splitter(kind, parties, total_rounds, target)(weights)
 
-    def composed() -> Tuple[float, float]:
-        if kind is Protocol.N_BB84:
-            return _compose_nbb84(negs, parties)
-        return _compose_nsixstate(negs, parties, total_rounds)
 
-    for _ in range(6):
-        neg_pe, neg_tot = composed()
+def _splitter(
+    kind: Protocol, parties: int, total_rounds: int, target: float
+) -> Callable[[Tuple[float, ...]], Tuple[List[float], float, float]]:
+    """``_split`` at one (kind, N, L, target), as a function of the weights.
+
+    What does not depend on the weights is computed once: log2(N-1), the
+    postselection bits and the six-state inner exponent.
+    """
+    bb84 = kind is Protocol.N_BB84
+    log2_bobs = math.log2(parties - 1)
+    ps_bits = 0.0 if bb84 else postselection_bits(parties, total_rounds)
+    neg_inner = target + ps_bits
+    scale = (2.0, 2.0, 1.0, 1.0) if bb84 else (1.0,) * 6
+
+    def composed(negs: List[float]) -> Tuple[float, float]:
+        if bb84:
+            return _compose_nbb84(negs, log2_bobs)
+        return _compose_nsixstate(negs, log2_bobs, ps_bits)
+
+    def split(weights: Tuple[float, ...]) -> Tuple[List[float], float, float]:
+        if bb84:
+            w_z, w_x, w_ec, w_pa = weights
+            pair = w_z + w_x
+            neg_pe = target - math.log2(pair / 2.0)
+            negs = [
+                2.0 * neg_pe - math.log2(w_z / (pair * (parties - 1))),
+                2.0 * neg_pe - math.log2(w_x / pair),
+                target - math.log2(w_ec),
+                target - math.log2(w_pa),
+            ]
+        else:
+            w_bar, w_z, w_x, w_zp, w_ec, w_pa = weights
+            negs = [
+                neg_inner - math.log2(w_bar / 2.0),
+                neg_inner - math.log2(w_z / (parties - 1)),
+                neg_inner - math.log2(w_x),
+                neg_inner - math.log2(w_zp),
+                neg_inner - math.log2(w_ec),
+                neg_inner - math.log2(w_pa),
+            ]
+        for _ in range(6):
+            neg_pe, neg_tot = composed(negs)
+            deficit = target - neg_tot
+            if deficit <= 0.0:
+                return negs, neg_pe, neg_tot
+            # large six-state exponents make tiny bumps vanish in rounding, so
+            # step by at least a few ULPs of the biggest component (ULPs grow
+            # with magnitude)
+            bump = deficit + 4.0 * math.ulp(max(map(abs, negs)))
+            negs = [v + c * bump for v, c in zip(negs, scale)]
+        neg_pe, neg_tot = composed(negs)
         deficit = target - neg_tot
-        if deficit <= 0.0:
-            return negs, neg_pe, neg_tot
-        # large six-state exponents make tiny bumps vanish in rounding, so
-        # step by at least a few ULPs of the biggest component
-        bump = deficit + 4.0 * max(math.ulp(abs(v)) for v in negs)
-        negs = [v + c * bump for v, c in zip(negs, scale)]
-    neg_pe, neg_tot = composed()
-    deficit = target - neg_tot
-    if deficit > 0.0:
-        raise ValueError(
-            f"composed eps_tot exceeds the target by {deficit:.3g} bits "
-            "after 6 correction passes"
-        )
-    return negs, neg_pe, neg_tot
+        if deficit > 0.0:
+            raise ValueError(
+                f"composed eps_tot exceeds the target by {deficit:.3g} bits "
+                "after 6 correction passes"
+            )
+        return negs, neg_pe, neg_tot
+
+    return split
 
 
 # a zero rate is certified when the bound stays this many bits per round below
@@ -258,7 +282,7 @@ def _floors(
     if kind is Protocol.N_BB84:
         neg_pe = target + 1.0
         return [2.0 * neg_pe + math.log2(parties - 1), 2.0 * neg_pe, target, target], neg_pe
-    neg_inner = target + postselection_exponent(parties) * math.log2(total_rounds + 1)
+    neg_inner = target + postselection_bits(parties, total_rounds)
     return [neg_inner] * 6, neg_inner
 
 
@@ -298,7 +322,8 @@ def _length_bound(
         bracket, penalty = 1.0 - h_x - h_ab, 0.0
     else:
         bar, z, x, zp = negs[:4]
-        etas = _eta(z, 2, hi), _eta(x, 2, hi // 2), _eta(zp, 2, hi)
+        log_hi, log_half = math.log(hi + 1), math.log(hi // 2 + 1)
+        etas = _eta(z, 2, hi, log_hi), _eta(x, 2, hi // 2, log_half), _eta(zp, 2, hi, log_hi)
         corner = _box_corner(stats.q_ab, stats.q_x, stats.q_z, *etas)
         if corner is None:
             return None
@@ -306,7 +331,7 @@ def _length_bound(
         penalty = math.sqrt(n_lo) * (
             5.0 * math.sqrt(bar) + math.log2(5.0) * math.sqrt(2.0 * (neg_pe - 1.0))
         )
-        fixed -= 2.0 * postselection_exponent(parties) * math.log2(total_rounds + 1)
+        fixed -= 2.0 * postselection_bits(parties, total_rounds)
     return (n_hi if bracket > 0.0 else n_lo) * bracket - penalty + fixed
 
 
@@ -336,7 +361,7 @@ def _certified_zero(
     negs, neg_pe = _floors(kind, parties, total_rounds, target)
     if _rob(neg_pe, parties) <= 0.0:
         return False
-    length = _nbb84_length if kind is Protocol.N_BB84 else _nsixstate_length
+    length = _length_core(kind, parties, total_rounds)
     slack = _ZERO_SLACK * total_rounds
     m_min = 2 if kind is Protocol.N_SIX_STATE else 1
     # p >= p_min gives m >= m_min; n >= 1 and p <= p_max (up to exp/log
@@ -351,7 +376,8 @@ def _certified_zero(
                 return False
             if bound >= -slack:
                 p = min(max((math.isqrt(lo * hi) + 0.5) / total_rounds, p_min), p_max)
-                if length(parties, total_rounds, p, stats, negs, neg_pe)[2] >= -slack:
+                rounds = _round_terms(kind, total_rounds, p)
+                if length(rounds, stats, negs, neg_pe)[2] >= -slack:
                     return False
                 heapq.heappush(unsettled, (-bound, lo, hi))
         if not unsettled:
@@ -365,8 +391,14 @@ def _certified_zero(
 
 
 def _softmax(theta: np.ndarray) -> Tuple[float, ...]:
-    z = np.exp(theta - theta.max())
-    return tuple((z / z.sum()).tolist())
+    # np.exp, not math.exp, whose roundoff differs; numpy adds fewer than 8
+    # entries in order, so the plain-float sum and quotients equal
+    # z / z.sum() bit for bit
+    z = np.exp(theta - max(theta.tolist())).tolist()
+    total = 0.0
+    for v in z:
+        total += v
+    return tuple([v / total for v in z])
 
 
 def _golden_max(
@@ -458,27 +490,39 @@ def optimize_rate(
     ProtocolConfig(kind, parties, total_rounds, p_max)
     _check_stats(kind, parties, stats)
 
-    length = _nbb84_length if kind is Protocol.N_BB84 else _nsixstate_length
     target = eps_tot_target.neg_log2
+    split = _splitter(kind, parties, total_rounds, target)
+    length = _length_core(kind, parties, total_rounds)
     evaluations = 0
+    # one-entry memos: a p line search scores one theta at many p, so the
+    # weights and their split are kept per theta; a weight line search scores
+    # many thetas at one p, so the round terms are kept per p
+    theta_key, weights, negs_pe = b"", (), None
+    memo_p, rounds = math.nan, None
 
-    def p_and_weights(theta: np.ndarray, lp: float) -> Tuple[float, Tuple[float, ...]]:
-        return math.exp(min(max(lp, lp_lo), lp_hi)), _softmax(theta)
+    def p_of(lp: float) -> float:
+        return math.exp(min(max(lp, lp_lo), lp_hi))
 
     def evaluate(theta: np.ndarray, lp: float) -> Optional[float]:
         # the signed net rate is the search objective: the zero-clamped rate
         # is flat over the whole infeasible region and gives line searches
         # nothing to follow; None marks a point whose rounds cannot be split
-        nonlocal evaluations
+        nonlocal evaluations, theta_key, weights, negs_pe, memo_p, rounds
         evaluations += 1
-        p, weights = p_and_weights(theta, lp)
+        p = p_of(lp)
+        key = theta.tobytes()
+        if key != theta_key:
+            theta_key, weights, negs_pe = key, _softmax(theta), None
         _check_shares(p, weights)
-        try:
-            negs, neg_pe, _ = _split(kind, parties, total_rounds, target, weights)
-            net = length(parties, total_rounds, p, stats, negs, neg_pe)[2]
-        except ConfigurationError:
-            return None
-        return net / total_rounds
+        if negs_pe is None:
+            negs_pe = split(weights)[:2]
+        if p != memo_p:
+            try:
+                rounds = _round_terms(kind, total_rounds, p)
+            except ConfigurationError:
+                return None
+            memo_p = p
+        return length(rounds, stats, *negs_pe)[2] / total_rounds
 
     def objective(theta: np.ndarray, lp: float) -> float:
         value = evaluate(theta, lp)
@@ -564,7 +608,7 @@ def optimize_rate(
     if best is None:
         raise ConfigurationError("no feasible configuration found")
     value, theta, lp = best
-    shares = BudgetShares(*p_and_weights(theta, lp))
+    shares = BudgetShares(p_of(lp), _softmax(theta))
     budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
     evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
     result = evaluator(ProtocolConfig(kind, parties, total_rounds, shares.p), stats, budget)

@@ -353,6 +353,33 @@ def test_round_count_below_one_is_usage_error(capsys, rounds, shown):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag, shown",
+    [
+        (["threshold", "--lmax", "-5"], "--lmax", "-5.0"),  # once an empty scan
+        (["threshold", "--lmax", "0.5"], "--lmax", "0.5"),
+        (["simulate", "--rounds", "0.4"], "--rounds", "0.4"),  # once named total_rounds
+        (["simulate", "--rounds", "-3"], "--rounds", "-3.0"),
+    ],
+)
+def test_other_round_counts_below_one_are_usage_errors(capsys, argv, flag, shown):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be at least 1, got {shown}\n"
+    assert captured.out == ""
+
+
+def test_round_count_below_one_in_config_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text('{"lmax": 0}')
+    with pytest.raises(SystemExit) as err:
+        main(["threshold", "--config", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: --lmax must be at least 1, got 0.0\n"
+
+
 def test_non_finite_round_count_in_config_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "conf.json"
     path.write_text('{"rounds": 1e400}')  # json reads a number this large as inf

@@ -15,9 +15,9 @@ import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
     Protocol,
     ProtocolConfig,
-    _nbb84_length,
-    _nsixstate_length,
+    _length_core,
     _rob,
+    _round_terms,
     budget_components,
     key_length_nsixstate,
 )
@@ -57,8 +57,10 @@ def certified(kind, parties, total_rounds, stats, target):
     )
 
 
-def length_core(kind):
-    return _nbb84_length if kind is Protocol.N_BB84 else _nsixstate_length
+def core_net(kind, parties, total_rounds, p, stats, negs, neg_pe):
+    """The key-length core's net length at p."""
+    rounds = _round_terms(kind, total_rounds, p)
+    return _length_core(kind, parties, total_rounds)(rounds, stats, negs, neg_pe)[2]
 
 
 class TestBound:
@@ -133,7 +135,7 @@ class TestBound:
         negs, neg_pe, _ = optimize._split(
             kind, parties, total_rounds, target_neg, shares.weights
         )
-        net = length_core(kind)(parties, total_rounds, p, stats, negs, neg_pe)[2]
+        net = core_net(kind, parties, total_rounds, p, stats, negs, neg_pe)
 
         # any interval of m that holds floor(L p)
         m = math.floor(total_rounds * p)
@@ -162,7 +164,7 @@ class TestBound:
         floors, floor_pe = optimize._floors(kind, parties, total_rounds, TARGET.neg_log2)
         for m in (2, 1000, 10**5, 4 * 10**6):
             p = (m + 0.25) / total_rounds
-            core = length_core(kind)(parties, total_rounds, p, stats, floors, floor_pe)[2]
+            core = core_net(kind, parties, total_rounds, p, stats, floors, floor_pe)
             bound = optimize._length_bound(
                 kind, parties, total_rounds, stats, floors, floor_pe, p, m, m
             )
