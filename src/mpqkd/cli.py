@@ -202,7 +202,14 @@ OUT = Option("out", None, "output path (default: stdout)")
 FORMAT = Option("format", "csv", "output format", choices=("csv", "json"))
 MODEL = Option("model", "global", choices=("global", "local"))
 SEED = Option("seed", 0, type=int)
-SEARCH = (SEED, Option("starts", 8, type=int), Option("max-evals", 5000, type=int))
+# the rate search is one deterministic ascent: --starts and --seed are
+# accepted (at least 1, for old command lines and config files) and change
+# nothing
+SEARCH = (
+    Option("seed", 0, "accepted; changes no result", type=int),
+    Option("starts", 8, "accepted; changes no result", type=int),
+    Option("max-evals", 5000, "most points scored per optimum", type=int),
+)
 TRIALS = Option("trials", 100_000, type=int)
 
 

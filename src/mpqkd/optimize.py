@@ -6,34 +6,20 @@ rounds.  The split is parameterized by positive simplex weights, so every
 evaluated point satisfies the composed eps_tot <= target exactly, in the log
 domain; no penalty terms are involved.
 
-The search is derivative-free (the objective has clamps and floor
-operations): multi-start coordinate descent with golden-section line
-searches, over softmax-transformed weights and log p.  Starts come from a
-scrambled Sobol sequence plus one deterministic equal-shares start, so the
-optimized rate can never fall below the equal-shares rate.  Given a warm
-hint (an optimum at a nearby L), one start from the hint replaces them; the
-equal-shares point is still scored as the floor, and a warm start that ends
-below it falls back to the full multi-start.  ``threshold_L`` warms every
-optimum after the first of each protocol from the cached optimum nearest in
-log L.  Same seed and search settings give bit-identical results.  The
-Sobol points come from a built-in numpy engine (``_sobol``) that reproduces
-``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)`` bit
-for bit, so the runtime needs numpy alone.
-
-Each of the thousands of points an optimum visits is scored on plain floats:
-the budget split (``_splitter``) and the key-length terms run on
-``neg_log2`` exponents through the same private cores that
-``allocate_budget`` and ``key_length_*`` wrap, with every per-point check
-(share positivity and sum, p range, round counts, Gamma_PE feasibility,
-eps_rob, the correction passes).  What does not change between points is
-computed once per optimum: log2(N-1), the postselection bits and the
-six-state inner exponent.  Two one-entry memos inside ``optimize_rate`` skip
-the work a line search repeats: along a p line theta is fixed, so its
-weights and their split are kept; along a weight line p is fixed, so its
-round terms (m, n, m', L h(p), ln(m+1), ln(m'+1)) are kept.  Every score is
-bit-identical to one computed afresh.  ``BudgetShares``, ``SecurityBudget``
-and ``KeyLengthResult`` are built once per optimum, for the point returned,
-through the public wrappers.
+The search runs on a smaller space.  eps_EC and eps_PA enter the key
+length only as -ec - 2 pa and eps_tot only through their sum, so w_PA =
+2 w_EC (``_expand``).  Within a step of m = floor(L p) only the preshared
+cost L h(p) moves, and it grows with p, so p sits at the left edge of its
+step (``_left_edge``) and the search runs over m, for six-state over m'
+with m = 2 m' (an odd m buys no X-parity round).  One damped Newton ascent
+(``_climb``) converges there from equal shares, or from a warm hint (the
+optimum at a nearby L; ``threshold_L`` passes the cached one nearest in
+log L).  The equal-shares point at p = 0.05 is always scored, so the rate
+never falls below it; a warm ascent that ends below it, or with no key
+length, runs again from equal shares.  Nothing is random.  Each point is
+scored on plain floats (``_scorer``) through the cores that
+``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as they
+would; the public objects are built once, for the point returned.
 
 Before searching, a certificate (``_certified_zero``) tries to prove that no
 point has a positive net length.  Each component exponent has a floor that
@@ -51,6 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +63,7 @@ from .finite_key import (
     postselection_bits,
 )
 from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
-from .numerics import _LN2, LogEps, _eta, binary_entropy
+from .numerics import _LN2, LogEps, _dot, _eigh, _eta, _times, binary_entropy
 
 __all__ = [
     "BudgetShares",
@@ -88,34 +75,6 @@ __all__ = [
     "threshold_L",
     "stats_from_qab_global",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Joe & Kuo (SIAM J. Sci. Comput. 30, 2635 (2008)) direction numbers of the
-# first 7 Sobol dimensions: each primitive polynomial (its degree is its bit
-# length minus 1) and its initial m_k; dimension 0 is all ones
-_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25)
-_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13))
-_SOBOL_BITS = 30
-
-
-def _direction_numbers() -> np.ndarray:
-    """The (7, 30) table of direction numbers, column j scaled by 2^(29 - j)."""
-    rows = [[1] * _SOBOL_BITS]
-    for poly, init in zip(_SOBOL_POLY[1:], _SOBOL_VINIT[1:]):
-        degree = poly.bit_length() - 1
-        row = list(init)
-        for j in range(degree, _SOBOL_BITS):
-            new = row[j - degree]
-            for i in range(1, degree + 1):
-                if poly >> (degree - i) & 1:
-                    new ^= row[j - i] << i
-            row.append(new)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64) << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
-
-
-_SOBOL_V = _direction_numbers()
 
 
 @dataclass(frozen=True)
@@ -140,7 +99,13 @@ def _check_shares(p: float, weights: Tuple[float, ...]) -> None:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Evaluation budget per start, number of starts, and the Sobol seed."""
+    """The most points one optimum scores; ``starts`` and ``seed`` change nothing.
+
+    The search is one deterministic Newton ascent, so it has no starts to
+    count and draws nothing at random.  ``starts`` and ``seed`` are still
+    accepted, and both caps must be at least 1, so that existing callers and
+    config files keep working.
+    """
 
     max_evaluations: int = 5000
     starts: int = 8
@@ -390,6 +355,35 @@ def _certified_zero(
     return False
 
 
+_CLEAR = 1e3  # stencil second differences aim at this times the roundoff
+_FIRST_STEP = 1e-2  # the first stencil step, in logits and relative in m
+_REACH = 2.0  # the most a Newton step moves along one eigen-direction
+_LOGIT_CAP = 50.0  # logits stay this close to the reference share's
+
+
+def _left_edge(total_rounds: int, m: int) -> float:
+    """The smallest double p with floor(L p) = m."""
+    p = m / total_rounds
+    while math.floor(total_rounds * p) < m:
+        p = math.nextafter(p, 1.0)
+    while math.floor(total_rounds * math.nextafter(p, 0.0)) == m:
+        p = math.nextafter(p, 0.0)
+    return p
+
+
+def _expand(shares: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Weights from reduced shares, the last one w_EC + w_PA, split 1:2."""
+    *rest, s = shares
+    ec = s / 3.0
+    return (*rest, ec, 2.0 * ec)
+
+
+def _logits(weights: Tuple[float, ...]) -> List[float]:
+    """The free logits of ``weights``: each share's log against w_EC + w_PA."""
+    *rest, ec, pa = weights
+    return [min(max(math.log(w / (ec + pa)), -_LOGIT_CAP), _LOGIT_CAP) for w in rest]
+
+
 def _softmax(theta: np.ndarray) -> Tuple[float, ...]:
     # np.exp, not math.exp, whose roundoff differs; numpy adds fewer than 8
     # entries in order, so the plain-float sum and quotients equal
@@ -401,53 +395,141 @@ def _softmax(theta: np.ndarray) -> Tuple[float, ...]:
     return tuple([v / total for v in z])
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, iters: int
-) -> Tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (x_best, f_best)."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _scorer(
+    kind: Protocol, parties: int, total_rounds: int, stats: ObservedStats, target: float
+) -> Callable[[Tuple[float, ...], float], float]:
+    """The net length at (weights, p) on plain floats, bit for bit the public
+    path's; splits are memoized per weights and round terms per p, which the
+    stencil's axes share."""
+    split = lru_cache(maxsize=64)(_splitter(kind, parties, total_rounds, target))
+    rounds = lru_cache(maxsize=16)(partial(_round_terms, kind, total_rounds))
+    length = _length_core(kind, parties, total_rounds)
+
+    def score(weights: Tuple[float, ...], p: float) -> float:
+        negs, neg_pe, _ = split(weights)
+        return length(rounds(p), stats, negs, neg_pe)[2]
+
+    return score
 
 
-def _sobol(d: int, m: int, seed: int) -> np.ndarray:
-    """The first 2^m points of a scrambled Sobol sequence in d <= 7 dimensions.
+def _aim(curvature: float, noise: float) -> float:
+    """The step whose second difference is ``_CLEAR`` times the roundoff."""
+    return math.sqrt(_CLEAR * noise / (abs(curvature) or 1e-300))
 
-    Bit-identical to ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
-    .random_base2(m)``: the same draws from ``default_rng(seed)`` (the digital
-    shift first, then the lower-triangular LMS matrices, given a unit
-    diagonal) and the same Gray-code order of points.
+
+def _climb(
+    f: Callable[[List[float], int], float],
+    starts: List[List[float]],
+    k: int,
+    k_max: int,
+    noise: float,
+) -> float:
+    """Damped Newton ascent of f(theta, k) over free logits and a count k in
+    [2, k_max - 1], from the first of ``starts`` with a finite f; returns
+    the value it ends at (-inf if no start has a key length).
+
+    Gradient and Hessian come from a central stencil: each axis, and each
+    pair of axes along their diagonal.  The logit axes are the last
+    Hessian's eigenvectors, each stepped so that its second difference
+    clears ``noise``, the roundoff of f (``_aim``); k steps in whole counts.
+    While steps in k alone are cut to ``_REACH`` or beat the quadratic model
+    (then they double), the stencil holds k alone, its strongest knob.
+    Newton steps go in (theta, ln k) on the eigenvalues made negative, at
+    most ``_REACH`` along each eigenvector; one that loses is shortened.
+    Once a step promises less than ``noise`` or gains nothing, k walks to
+    its best neighbour (k +- 1, +- 2) until none gains.
     """
-    if d > len(_SOBOL_POLY):
-        raise ValueError(f"the Sobol engine has {len(_SOBOL_POLY)} dimensions, got d = {d}")
-    bits = _SOBOL_BITS
-    rng = np.random.default_rng(seed)
-    place = 2 ** np.arange(bits, dtype=np.uint32)
-    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ place
-    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
-    ltm[:, range(bits), range(bits)] = 1
-    # LMS scramble: bit 29 - p of scrambled column j is the parity of row p
-    # of ltm against the bits of column j, most significant bit first
-    msb_first = place[::-1]
-    v_bits = _SOBOL_V[:d, None, :] // msb_first[:, None] & 1
-    sv = msb_first @ (ltm @ v_bits & 1)
-    # point i steps from point i - 1 by the column of the lowest zero bit of
-    # i - 1, so it is the shift XOR the columns set in the Gray code of i
-    i = np.arange(2**m)
-    on = ((i ^ i >> 1)[:, None, None] >> np.arange(bits) & 1).astype(bool)
-    quasi = np.bitwise_xor.reduce(np.where(on, sv, 0), axis=2) ^ shift
-    return quasi / 2**bits
+    k = min(max(k, 2), k_max - 1)
+    for theta in starts:
+        value = f(theta, k)
+        if value > -math.inf:
+            break
+    else:
+        return -math.inf
+    n = len(theta)
+    basis = [[float(i == j) for j in range(n)] for i in range(n)]
+    steps = [_FIRST_STEP] * n + [max(1, round(_FIRST_STEP * k))]
+    count_only = True
+    while True:
+        steps[n] = max(1, min(steps[n], k - 1, k_max - k))
+
+        def at(*moves: Tuple[int, int]) -> float:
+            point, count = theta, k
+            for axis, sign in moves:
+                if axis == n:
+                    count += sign * steps[n]
+                else:
+                    point = [x + sign * steps[axis] * b for x, b in zip(point, basis[axis])]
+            return f(point, count)
+
+        # gradient and Hessian in stencil steps, on this stage's axes
+        axes = range(n if count_only else 0, n + 1)
+        plus, minus = [value] * (n + 1), [value] * (n + 1)
+        for i in axes:
+            plus[i], minus[i] = at((i, 1)), at((i, -1))
+        grad = [(a - b) / 2.0 for a, b in zip(plus, minus)]
+        hess = [[0.0] * (n + 1) for _ in range(n + 1)]
+        for i in axes:
+            hess[i][i] = plus[i] + minus[i] - 2.0 * value
+            for j in range(axes.start, i):
+                pair = at((i, 1), (j, 1)) + at((i, -1), (j, -1))
+                pair += 2.0 * value - plus[i] - minus[i] - plus[j] - minus[j]
+                hess[i][j] = hess[j][i] = pair / 2.0
+        if not all(math.isfinite(x) for row in hess for x in row):
+            break  # a stencil point has no key length
+        # ... in (theta, k): to_u maps stencil-step derivatives there
+        to_u = [[basis[i][a] / steps[i] for i in range(n)] + [0.0] for a in range(n)]
+        to_u.append([0.0] * n + [1.0 / steps[n]])
+        grad = [_dot(row, grad) for row in to_u]
+        hess = [[_dot(row, col) for col in to_u] for row in _times(to_u, hess)]
+        # the next steps, from the curvatures along the logit eigenvectors and k
+        if not count_only:
+            curvatures, basis = _eigh([row[:n] for row in hess[:n]])
+            steps[:n] = [min(max(_aim(v, noise), 1e-9), 1.0) for v in curvatures]
+        steps[n] = round(_aim(hess[n][n], noise))
+        # ... and in (theta, u), u = ln k: d/du = k d/dk
+        hess[n][n] = k * (k * hess[n][n] + grad[n])
+        for i in range(n):
+            hess[i][n] = hess[n][i] = k * hess[i][n]
+        grad[n] *= k
+        to_u[n][n] *= k
+        delta, slope, cut = [0.0] * (n + 1), 0.0, False
+        for curvature, vec in zip(*_eigh(hess)):
+            along = _dot(vec, grad)
+            # a gradient within its stencil values' roundoff is no gradient
+            if abs(along) <= 4.0 * noise * math.hypot(*(_dot(vec, c) for c in zip(*to_u))):
+                continue
+            cut = cut or abs(curvature) * _REACH < abs(along)
+            step = along / max(abs(curvature), abs(along) / _REACH)
+            delta = [d + step * x for d, x in zip(delta, vec)]
+            slope += along * step
+
+        def trial(t: float) -> Tuple[float, List[float], int]:
+            point = [min(max(x + t * d, -_LOGIT_CAP), _LOGIT_CAP) for x, d in zip(theta, delta)]
+            count = min(max(round(k * math.exp(t * delta[n])), 2), k_max - 1)
+            return f(point, count), point, count
+
+        # a step that promises less than roundoff is not worth scoring
+        best, t = None, 1.0
+        while best is None and 0.5 * slope > noise and t > 1e-3:
+            best = trial(t)
+            if not best[0] > value:
+                best, t = None, t / 4.0
+        while count_only and best and best[0] - value > 1.1 * (t - 0.5 * t * t) * slope:
+            # the count's curvature grows on the way: try longer steps
+            longer = trial(2.0 * t)
+            if not longer[0] > best[0]:
+                break
+            best, t = longer, 2.0 * t
+        if not (best or count_only):
+            break
+        value, theta, k = best or (value, theta, k)
+        count_only = count_only and bool(best) and (cut or t != 1.0)
+    while True:
+        top, count = max((f(theta, c), c) for c in (k - 1, k + 1, k - 2, k + 2) if 1 <= c <= k_max)
+        if not top > value:
+            return value
+        value, k = top, count
 
 
 def optimize_rate(
@@ -462,19 +544,18 @@ def optimize_rate(
 ) -> OptimizedRate:
     """Maximize the net key rate over budget shares and p at fixed eps_tot.
 
-    Returns the best found rate; the equal-shares point is always evaluated,
+    Returns the best point scored; the equal-shares point is always scored,
     so the result is never worse than it.  Where the zero-rate certificate
     proves that no split and no p has a positive net length, the search is
     skipped: the result is rate 0.0 at the equal-shares start point, with
     ``evaluations`` 1.  Elsewhere a rate of 0.0 means the search found no
     positive point, and the shares are the least-negative point it found.
 
-    ``warm`` (typically the optimum at a nearby L) replaces the multi-start by
-    one coordinate-descent start from its weights and p, with the same
-    evaluation budget.  If that start ends below the equal-shares point, or
-    on a point with no key length (infeasible or vacuous), the full
-    multi-start runs as if ``warm`` were None.  ``evaluations`` counts every
-    point scored, fallback included.
+    The search is one Newton ascent from equal shares (EC and PA split 1:2)
+    at the m of p = 0.05, or from ``warm``'s shares and m; a warm ascent
+    that ends below the equal-shares point, or with no key length
+    (infeasible or vacuous), runs again from equal shares.  ``evaluations``
+    counts every point scored; ``search_config.max_evaluations`` caps it.
     """
     cfg = search_config or SearchConfig()
     n_weights = len(budget_components(kind))
@@ -485,136 +566,54 @@ def optimize_rate(
         raise ConfigurationError(
             f"L = {total_rounds} is too small for {kind.value} round bookkeeping"
         )
-    lp_lo, lp_hi = math.log(p_min), math.log(p_max)
     # parties, L and the statistics are the same at every point: check once
     ProtocolConfig(kind, parties, total_rounds, p_max)
     _check_stats(kind, parties, stats)
 
     target = eps_tot_target.neg_log2
-    split = _splitter(kind, parties, total_rounds, target)
-    length = _length_core(kind, parties, total_rounds)
-    evaluations = 0
-    # one-entry memos: a p line search scores one theta at many p, so the
-    # weights and their split are kept per theta; a weight line search scores
-    # many thetas at one p, so the round terms are kept per p
-    theta_key, weights, negs_pe = b"", (), None
-    memo_p, rounds = math.nan, None
+    score = _scorer(kind, parties, total_rounds, stats, target)
+    noise = 2.0**-50 * total_rounds  # roundoff, in bits, of terms of about L bits
+    # the search runs over k = m, or k = m' with m = 2 m' for six-state
+    k_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max)) // m_min
+    points: List[Tuple[float, Tuple[float, ...], float]] = []  # (net length, weights, p)
 
-    def p_of(lp: float) -> float:
-        return math.exp(min(max(lp, lp_lo), lp_hi))
+    def scored(weights: Tuple[float, ...], p: float) -> float:
+        # past the cap, every point reads as one with no key length
+        if len(points) >= cfg.max_evaluations:
+            return -math.inf
+        points.append((score(weights, p), weights, p))
+        return points[-1][0]
 
-    def evaluate(theta: np.ndarray, lp: float) -> Optional[float]:
-        # the signed net rate is the search objective: the zero-clamped rate
-        # is flat over the whole infeasible region and gives line searches
-        # nothing to follow; None marks a point whose rounds cannot be split
-        nonlocal evaluations, theta_key, weights, negs_pe, memo_p, rounds
-        evaluations += 1
-        p = p_of(lp)
-        key = theta.tobytes()
-        if key != theta_key:
-            theta_key, weights, negs_pe = key, _softmax(theta), None
-        _check_shares(p, weights)
-        if negs_pe is None:
-            negs_pe = split(weights)[:2]
-        if p != memo_p:
-            try:
-                rounds = _round_terms(kind, total_rounds, p)
-            except ConfigurationError:
-                return None
-            memo_p = p
-        return length(rounds, stats, *negs_pe)[2] / total_rounds
+    def f(theta: List[float], k: int) -> float:
+        weights = _expand(_softmax(np.array([*theta, 0.0])))
+        return scored(weights, _left_edge(total_rounds, m_min * k))
 
-    def objective(theta: np.ndarray, lp: float) -> float:
-        value = evaluate(theta, lp)
-        return -math.inf if value is None else value
-
-    # start 0: equal shares; the rest from a scrambled Sobol sequence, unless
-    # a zero rate is certified
-    start_list = [(np.zeros(n_weights), math.log(min(max(0.05, p_min), p_max)))]
+    # the equal-shares point at p = 0.05 (as exp(log 0.05)) is the floor
+    p0 = math.exp(math.log(min(max(0.05, p_min), p_max)))
+    equal = (1.0 / n_weights,) * n_weights
     certified = _certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max)
-    extra = 0 if certified else cfg.starts - 1
-    points = np.empty((0, n_weights + 1))
-    if extra:
-        points = _sobol(n_weights + 1, max(1, math.ceil(math.log2(extra))), cfg.seed)[:extra]
-    for row in points:
-        theta = 3.0 * (2.0 * row[:n_weights] - 1.0)
-        lp = lp_lo + row[n_weights] * (lp_hi - lp_lo)
-        start_list.append((theta, lp))
+    floor = scored(equal, p0)
+    # too few counts for a central difference in m: the floor alone
+    if not certified and k_max >= 3:
+        reached = -math.inf
+        if warm is not None:
+            k_warm = math.floor(total_rounds * warm.p) // m_min
+            reached = _climb(f, [_logits(warm.weights)], k_warm, k_max, noise)
+        if not (reached > -math.inf and reached >= floor):
+            # equal shares; where they have no key length, the first point
+            # with one share dominant that has one
+            free = range(n_weights - 2)
+            heavy = [[3.0 * (i == j) for i in free] for j in free] + [[-3.0 for _ in free]]
+            k_cold = math.floor(total_rounds * p0) // m_min
+            _climb(f, [_logits(equal), *heavy], k_cold, k_max, noise)
 
-    best: Optional[Tuple[float, np.ndarray, float]] = None
-
-    def consider(value: Optional[float], theta: np.ndarray, lp: float) -> None:
-        nonlocal best
-        if value is not None and (best is None or value > best[0]):
-            best = (value, theta.copy(), lp)
-
-    def descend(theta0: np.ndarray, lp0: float) -> Optional[float]:
-        """One coordinate-descent start; returns the value it ends at."""
-        theta = theta0.copy()
-        lp = lp0
-        start_budget = evaluations + cfg.max_evaluations
-        first = evaluate(theta, lp)
-        consider(first, theta, lp)
-        current = -math.inf if first is None else first
-        first_sweep = True
-        while evaluations < start_budget:
-            improved = False
-            # p first: it moves the round split, usually the strongest knob
-            lo = lp_lo if first_sweep else max(lp - 0.7, lp_lo)
-            hi = lp_hi if first_sweep else min(lp + 0.7, lp_hi)
-            x, fx = _golden_max(lambda v: objective(theta, v), lo, hi, iters=18)
-            if fx > current + 1e-12:
-                current, lp, improved = fx, x, True
-            for i in range(n_weights):
-                if evaluations >= start_budget:
-                    break
-
-                def along(v: float, i: int = i) -> float:
-                    trial = theta.copy()
-                    trial[i] = v
-                    return objective(trial, lp)
-
-                x, fx = _golden_max(along, theta[i] - 2.0, theta[i] + 2.0, iters=16)
-                if fx > current + 1e-12:
-                    current = fx
-                    theta[i] = x
-                    improved = True
-            first_sweep = False
-            if not improved:
-                break
-        last = evaluate(theta, lp)
-        consider(last, theta, lp)
-        return last
-
-    if certified:
-        # no budget split and no p has a positive net length: the equal-shares
-        # start is scored alone
-        consider(evaluate(*start_list[0]), *start_list[0])
-        start_list = []
-    elif warm is not None:
-        # the equal-shares point stays the floor; a warm start that ends below
-        # it, or on a point with no key length (infeasible or vacuous), falls
-        # back to the cold starts
-        floor = evaluate(*start_list[0])
-        consider(floor, *start_list[0])
-        lp_warm = min(max(math.log(warm.p), lp_lo), lp_hi)
-        reached = descend(np.log(np.array(warm.weights)), lp_warm)
-        feasible = reached is not None and reached > -math.inf
-        if feasible and (floor is None or reached >= floor):
-            start_list = []
-    for theta0, lp0 in start_list:
-        descend(theta0, lp0)
-
-    if best is None:
-        raise ConfigurationError("no feasible configuration found")
-    value, theta, lp = best
-    shares = BudgetShares(p_of(lp), _softmax(theta))
+    _, weights, p = max(points, key=lambda point: point[0])
+    shares = BudgetShares(p, weights)
     budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
     evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
-    result = evaluator(ProtocolConfig(kind, parties, total_rounds, shares.p), stats, budget)
-    return OptimizedRate(
-        rate=max(value, 0.0), shares=shares, result=result, evaluations=evaluations
-    )
+    result = evaluator(ProtocolConfig(kind, parties, total_rounds, p), stats, budget)
+    rate = max(result.net_length / total_rounds, 0.0)
+    return OptimizedRate(rate=rate, shares=shares, result=result, evaluations=len(points))
 
 
 def stats_from_qab_global(q_ab: float, parties: int) -> ObservedStats:
@@ -695,11 +694,11 @@ def threshold_L(
     global-depolarizing relations.
 
     Each (protocol, L) is optimized once, and the N-BB84 optimum only where
-    the six-state rate is positive.  The first optimum of each protocol is a
-    cold multi-start; every later one is warm-started (``optimize_rate``'s
-    ``warm``) from the cached optimum of the same protocol nearest in
-    |log L|, the smaller L on a tie, since the optimal shares and log p move
-    smoothly with log L.
+    the six-state rate is positive.  The first optimum of each protocol
+    starts from equal shares; every later one is warm-started
+    (``optimize_rate``'s ``warm``) from the cached optimum of the same
+    protocol nearest in |log L|, the smaller L on a tie, since the optimal
+    shares and log p move smoothly with log L.
     """
     stats = stats_from_qab_global(q_ab, parties)
     cache: Dict[Tuple[Protocol, int], OptimizedRate] = {}

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mpqkd.numerics import (
     LogEps,
+    _eigh,
+    _times,
     binary_entropy,
     eps_sqrt,
     eps_sum,
@@ -216,3 +218,33 @@ class TestLog2OneMinus:
         hi = log2_one_minus(LogEps(53.1))
         assert lo == pytest.approx(-(2.0**-52.9) / LN2, rel=1e-9)
         assert hi == pytest.approx(-(2.0**-53.1) / LN2, rel=1e-9)
+
+
+class TestSmallEigensolver:
+    """The optimizer's Jacobi eigensolver against numpy.linalg, on Hessians
+    like the optimizer's: up to 5 x 5, eigenvalues spanning many decades."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_diagonalizes_with_orthonormal_vectors(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lam = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 12.0, n)
+            a = q @ np.diag(lam) @ q.T
+            a = (a + a.T) / 2.0
+            values, vectors = _eigh(a.tolist())
+            v = np.array(vectors)
+            scale = np.abs(lam).max()
+            assert np.abs(v @ v.T - np.eye(n)).max() < 1e-13
+            assert np.abs(v @ a @ v.T - np.diag(values)).max() < 1e-13 * scale
+            want = np.linalg.eigvalsh(a)
+            assert np.allclose(np.sort(values), want, rtol=0.0, atol=1e-13 * scale)
+
+    def test_zero_and_diagonal_matrices(self):
+        assert _eigh([[0.0, 0.0], [0.0, 0.0]]) == ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        assert _eigh([[3.0, 0.0], [0.0, -2.0]])[0] == [3.0, -2.0]
+
+    def test_times_is_the_matrix_product(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        assert np.allclose(_times(a.tolist(), b.tolist()), a @ b, rtol=1e-15, atol=1e-15)

@@ -4,12 +4,12 @@ import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
 import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
@@ -25,10 +25,7 @@ from mpqkd.noise import ObservedStats
 from mpqkd.numerics import LogEps
 from mpqkd.optimize import (
     BudgetShares,
-    OptimizedRate,
     SearchConfig,
-    _golden_max,
-    _softmax,
     _threshold_from_curve,
     allocate_budget,
     budget_components,
@@ -166,6 +163,19 @@ class TestOptimizeRate:
         with pytest.raises(ConfigurationError):
             optimize_rate(Protocol.N_SIX_STATE, 2, 4, stats, TARGET, FAST)
 
+    def test_starts_and_seed_change_nothing(self):
+        stats = stats_from_qab_global(0.05, 2)
+        for kind in Protocol:
+            first, second = (
+                optimize_rate(kind, 2, 10**8, stats, TARGET, SearchConfig(600, starts, seed))
+                for starts, seed in ((1, 0), (8, 12345))
+            )
+            assert (first.rate, first.shares, first.evaluations) == (
+                second.rate,
+                second.shares,
+                second.evaluations,
+            )
+
     @pytest.mark.parametrize("field", ["max_evaluations", "starts"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_search_config_rejects_empty_search(self, field, value):
@@ -226,12 +236,12 @@ class TestWarmStart:
 
     def test_infeasible_hint_falls_back_to_cold_search(self):
         # at a 0.2-bit target with N = 6, eps_rob >= 1 wherever w_z + w_x is
-        # near 1: every point the hint's start visits is vacuous, and so is
-        # the equal-shares point
+        # near 1: the hint is vacuous, and so is the equal-shares point
         kind, parties, total_rounds = Protocol.N_BB84, 6, 10**6
         stats = stats_from_qab_global(0.05, parties)
         target = LogEps(0.2)
-        cfg = SearchConfig(200, 3, 0)
+        # a cap neither search reaches, so that both end where they converge
+        cfg = SearchConfig(2000, 1, 0)
         hint = BudgetShares(0.05, (0.5 - 1e-12, 0.5 - 1e-12, 1e-12, 1e-12))
         cold = optimize_rate(kind, parties, total_rounds, stats, target, cfg)
         got = optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=hint)
@@ -242,105 +252,21 @@ class TestWarmStart:
         assert got.evaluations > cold.evaluations  # the warm start is counted too
 
 
-def replay_optimize_rate(kind, parties, total_rounds, stats, eps_tot_target, cfg):
-    """Referee: the optimizer loop that builds every object at every point.
+def public_scorer(kind, parties, total_rounds, stats, target):
+    """Referee for ``optimize._scorer``: every point through the public path.
 
-    Each evaluation builds ``BudgetShares`` and a ``ProtocolConfig``, splits
-    the budget through the public ``allocate_budget`` and scores it with the
-    public ``key_length_*``; the starts, ``_softmax`` and the line searches
-    are those of ``optimize_rate``.  Where the zero-rate certificate holds,
-    the equal-shares start is the only point scored.
+    Each score builds ``BudgetShares`` and a ``ProtocolConfig``, splits the
+    budget with ``allocate_budget`` and evaluates it with ``key_length_*``.
     """
-    n_weights = len(budget_components(kind))
-    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
-    p_min = (m_min + 0.5) / total_rounds
-    p_max = 0.4999
-    if p_min >= p_max:
-        raise ConfigurationError(f"L = {total_rounds} is too small")
-    lp_lo, lp_hi = math.log(p_min), math.log(p_max)
-
     evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
-    target = eps_tot_target.neg_log2
-    if optimize._certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max):
-        p = math.exp(math.log(min(max(0.05, p_min), p_max)))
-        shares = BudgetShares(p, tuple([1.0 / n_weights] * n_weights))
+
+    def score(weights, p):
+        shares = BudgetShares(p, weights)
+        budget = allocate_budget(kind, parties, total_rounds, LogEps(target), shares)
         config = ProtocolConfig(kind, parties, total_rounds, p)
-        budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
-        return OptimizedRate(0.0, shares, evaluator(config, stats, budget), 1)
-    evaluations = 0
+        return evaluator(config, stats, budget).net_length
 
-    def evaluate(theta, lp):
-        nonlocal evaluations
-        evaluations += 1
-        p = math.exp(min(max(lp, lp_lo), lp_hi))
-        weights = _softmax(theta)
-        try:
-            config = ProtocolConfig(kind, parties, total_rounds, p)
-            budget = allocate_budget(
-                kind, parties, total_rounds, eps_tot_target, BudgetShares(p, weights)
-            )
-            result = evaluator(config, stats, budget)
-        except ConfigurationError:
-            return -math.inf, None, None
-        return result.net_length / total_rounds, BudgetShares(p, weights), result
-
-    start_list = [(np.zeros(n_weights), math.log(min(max(0.05, p_min), p_max)))]
-    extra = max(cfg.starts - 1, 0)
-    points = np.empty((0, n_weights + 1))
-    if extra:
-        sobol = qmc.Sobol(d=n_weights + 1, scramble=True, seed=cfg.seed)
-        points = sobol.random_base2(m=max(1, math.ceil(math.log2(extra))))[:extra]
-    for row in points:
-        theta = 3.0 * (2.0 * row[:n_weights] - 1.0)
-        lp = lp_lo + row[n_weights] * (lp_hi - lp_lo)
-        start_list.append((theta, lp))
-
-    best = (-math.inf, None, None)
-
-    def consider(candidate):
-        nonlocal best
-        objective, shares, result = candidate
-        if result is not None and (best[2] is None or objective > best[0]):
-            best = (objective, shares, result)
-
-    for theta0, lp0 in start_list:
-        theta = theta0.copy()
-        lp = lp0
-        start_budget = evaluations + cfg.max_evaluations
-        first = evaluate(theta, lp)
-        consider(first)
-        current = first[0]
-        first_sweep = True
-        while evaluations < start_budget:
-            improved = False
-            lo = lp_lo if first_sweep else max(lp - 0.7, lp_lo)
-            hi = lp_hi if first_sweep else min(lp + 0.7, lp_hi)
-            x, fx = _golden_max(lambda v: evaluate(theta, v)[0], lo, hi, iters=18)
-            if fx > current + 1e-12:
-                current, lp, improved = fx, x, True
-            for i in range(n_weights):
-                if evaluations >= start_budget:
-                    break
-
-                def along(v, i=i):
-                    trial = theta.copy()
-                    trial[i] = v
-                    return evaluate(trial, lp)[0]
-
-                x, fx = _golden_max(along, theta[i] - 2.0, theta[i] + 2.0, iters=16)
-                if fx > current + 1e-12:
-                    current = fx
-                    theta[i] = x
-                    improved = True
-            first_sweep = False
-            if not improved:
-                break
-        consider(evaluate(theta, lp))
-
-    objective, shares, result = best
-    if result is None:
-        raise ConfigurationError("no feasible configuration found")
-    return OptimizedRate(max(objective, 0.0), shares, result, evaluations)
+    return score
 
 
 def flat_fields(result):
@@ -363,48 +289,41 @@ class TestReplayReferee:
         parties=st.integers(2, 6),
         log10_rounds=st.floats(3.0, 12.0),
         q_ab=st.floats(0.01, 0.12),
-        seed=st.integers(0, 2**16),
         max_evaluations=st.integers(20, 400),
-        starts=st.integers(1, 3),
         target_neg=st.floats(0.2, 60.0),
+        hint_p=st.one_of(st.none(), st.floats(1e-6, 0.49)),
     )
     def test_optimum_matches_per_object_replay(
-        self, kind, parties, log10_rounds, q_ab, seed, max_evaluations, starts, target_neg
+        self, kind, parties, log10_rounds, q_ab, max_evaluations, target_neg, hint_p
     ):
-        # loose targets make N-BB84 points vacuous (eps_rob >= 1)
+        # the same ascent, every point scored through the public objects:
+        # one score that differs anywhere sends the ascent elsewhere; loose
+        # targets make N-BB84 points vacuous (eps_rob >= 1)
         target = LogEps(target_neg)
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
-        cfg = SearchConfig(max_evaluations, starts, seed)
+        cfg = SearchConfig(max_evaluations, 1, 0)
+        k = len(budget_components(kind))
+        warm = None if hint_p is None else BudgetShares(hint_p, (1.0 / k,) * k)
+
+        def run():
+            return optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=warm)
+
+        replay = mock.patch.object(optimize, "_scorer", public_scorer)
         try:
-            expected = replay_optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+            got = run()
         except ConfigurationError:
-            with pytest.raises(ConfigurationError):
-                optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+            with replay, pytest.raises(ConfigurationError):
+                run()
             return
-        got = optimize_rate(kind, parties, total_rounds, stats, target, cfg)
+        with replay:
+            expected = run()
         assert got.rate == expected.rate
         assert got.shares == expected.shares
         assert got.evaluations == expected.evaluations
         pairs = list(zip(flat_fields(got.result), flat_fields(expected.result)))
         assert len(pairs) == len(flat_fields(expected.result)) > 0
         assert all(same_value(a, b) for a, b in pairs), pairs
-
-
-class TestSobolEngine:
-    """The built-in engine against the scipy one it replaces, point for point."""
-
-    @pytest.mark.parametrize("d", range(1, 8))
-    def test_matches_scipy_scrambled_sobol(self, d):
-        for seed in range(200):
-            for m in range(1, 5):
-                want = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)
-                got = optimize._sobol(d, m, seed)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, m)
-
-    def test_more_than_seven_dimensions_raise(self):
-        with pytest.raises(ValueError):
-            optimize._sobol(8, 1, 0)
 
 
 class TestThresholdFromCurve:

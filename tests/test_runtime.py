@@ -1,4 +1,4 @@
-"""The library runs on numpy alone: scipy is needed only by the test referees."""
+"""The library runs on numpy alone: no scipy module is imported."""
 
 import json
 import os

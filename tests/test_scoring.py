@@ -1,9 +1,9 @@
 """Point scoring of the rate optimizer: bit identity with the plain formulas.
 
 The optimizer scores each point from per-optimum constants, fixed-arity
-compositions, a softmax on plain floats and one-entry memos.  These tests
-hold each piece bit for bit to the formula it replaced, and the memoized
-scores to fresh ones.  They also hold the key-length cores to a property
+compositions, a softmax on plain floats and memos per weights and per p.
+These tests hold each piece bit for bit to the formula it replaced, and the
+memoized scores to fresh ones.  They also hold the key-length cores to a property
 of p within one step of m = floor(L p).
 
 This module imports neither scipy nor mpmath.  The softmax identity rests on
@@ -160,8 +160,8 @@ class TestCompositions:
 class TestMemoizedScores:
     """Every point optimize_rate scores gets the terms a fresh split gives.
 
-    ``_check_shares`` sees each point's p and weights, and the bound core
-    sees the round terms and exponents the memos handed it; both are compared
+    The scorer sees each point's weights and p, and the key-length core sees
+    the round terms and exponents the memos handed it; both are compared
     with ``_round_terms`` and ``_split`` computed afresh at that point.
     """
 
@@ -171,14 +171,19 @@ class TestMemoizedScores:
         stats = stats_from_qab_global(0.05, parties)
         target = TARGET.neg_log2
         point = {}
-        seen = {"points": 0, "p_line": 0, "weight_line": 0}
-        last = {"negs": None, "rounds": None}
-        check_shares = optimize._check_shares
+        seen = {"points": 0, "split_hits": 0, "round_hits": 0}
+        handed = {"negs": [], "rounds": []}
+        scorer = optimize._scorer
         length_core = optimize._length_core
 
-        def spy_check(p, weights):
-            check_shares(p, weights)
-            point.update(p=p, weights=weights)
+        def spy_scorer(*args):
+            score = scorer(*args)
+
+            def spied(weights, p):
+                point.update(p=p, weights=weights)
+                return score(weights, p)
+
+            return spied
 
         def spy_core(*args):
             core = length_core(*args)
@@ -197,19 +202,20 @@ class TestMemoizedScores:
                 assert repr(got) == repr(fresh)
                 # a memo hit hands over the very object it kept
                 seen["points"] += 1
-                seen["p_line"] += negs is last["negs"] and rounds is not last["rounds"]
-                seen["weight_line"] += rounds is last["rounds"] and negs is not last["negs"]
-                last.update(negs=negs, rounds=rounds)
+                seen["split_hits"] += any(negs is kept for kept in handed["negs"])
+                seen["round_hits"] += any(rounds is kept for kept in handed["rounds"])
+                handed["negs"].append(negs)
+                handed["rounds"].append(rounds)
                 return got
 
             return checked
 
-        monkeypatch.setattr(optimize, "_check_shares", spy_check)
+        monkeypatch.setattr(optimize, "_scorer", spy_scorer)
         monkeypatch.setattr(optimize, "_length_core", spy_core)
-        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, SearchConfig(300, 2, 3))
+        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, SearchConfig(300, 1, 0))
         assert opt.rate > 0.0
         assert seen["points"] == opt.evaluations
-        assert seen["p_line"] > 0 and seen["weight_line"] > 0, seen
+        assert seen["split_hits"] > 0 and seen["round_hits"] > 0, seen
 
 
 class TestWithinOneStepOfM:
