@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -399,15 +398,13 @@ def _scorer(
     kind: Protocol, parties: int, total_rounds: int, stats: ObservedStats, target: float
 ) -> Callable[[Tuple[float, ...], float], float]:
     """The net length at (weights, p) on plain floats, bit for bit the public
-    path's; splits are memoized per weights and round terms per p, which the
-    stencil's axes share."""
-    split = lru_cache(maxsize=64)(_splitter(kind, parties, total_rounds, target))
-    rounds = lru_cache(maxsize=16)(partial(_round_terms, kind, total_rounds))
+    path's."""
+    split = _splitter(kind, parties, total_rounds, target)
     length = _length_core(kind, parties, total_rounds)
 
     def score(weights: Tuple[float, ...], p: float) -> float:
         negs, neg_pe, _ = split(weights)
-        return length(rounds(p), stats, negs, neg_pe)[2]
+        return length(_round_terms(kind, total_rounds, p), stats, negs, neg_pe)[2]
 
     return score
 

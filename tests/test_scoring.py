@@ -1,9 +1,9 @@
 """Point scoring of the rate optimizer: bit identity with the plain formulas.
 
 The optimizer scores each point from per-optimum constants, fixed-arity
-compositions, a softmax on plain floats and memos per weights and per p.
-These tests hold each piece bit for bit to the formula it replaced, and the
-memoized scores to fresh ones.  They also hold the key-length cores to a property
+compositions and a softmax on plain floats.  These tests hold each piece
+bit for bit to the formula it replaced, and every score the optimizer takes
+to one computed afresh.  They also hold the key-length cores to a property
 of p within one step of m = floor(L p).
 
 This module imports neither scipy nor mpmath.  The softmax identity rests on
@@ -161,8 +161,9 @@ class TestMemoizedScores:
     """Every point optimize_rate scores gets the terms a fresh split gives.
 
     The scorer sees each point's weights and p, and the key-length core sees
-    the round terms and exponents the memos handed it; both are compared
-    with ``_round_terms`` and ``_split`` computed afresh at that point.
+    the round terms and exponents the per-optimum scorer handed it; both are
+    compared with ``_round_terms`` and ``_split`` computed afresh at that
+    point.
     """
 
     @pytest.mark.parametrize("kind", list(Protocol))
@@ -171,8 +172,7 @@ class TestMemoizedScores:
         stats = stats_from_qab_global(0.05, parties)
         target = TARGET.neg_log2
         point = {}
-        seen = {"points": 0, "split_hits": 0, "round_hits": 0}
-        handed = {"negs": [], "rounds": []}
+        seen = {"points": 0}
         scorer = optimize._scorer
         length_core = optimize._length_core
 
@@ -200,12 +200,7 @@ class TestMemoizedScores:
                 assert bits([*negs, neg_pe]) == bits([*fresh_negs, fresh_pe])
                 fresh = core(fresh_rounds, stats_, fresh_negs, fresh_pe)
                 assert repr(got) == repr(fresh)
-                # a memo hit hands over the very object it kept
                 seen["points"] += 1
-                seen["split_hits"] += any(negs is kept for kept in handed["negs"])
-                seen["round_hits"] += any(rounds is kept for kept in handed["rounds"])
-                handed["negs"].append(negs)
-                handed["rounds"].append(rounds)
                 return got
 
             return checked
@@ -215,7 +210,6 @@ class TestMemoizedScores:
         opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, SearchConfig(300, 1, 0))
         assert opt.rate > 0.0
         assert seen["points"] == opt.evaluations
-        assert seen["split_hits"] > 0 and seen["round_hits"] > 0, seen
 
 
 class TestWithinOneStepOfM:
