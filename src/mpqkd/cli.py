@@ -99,6 +99,22 @@ def _parse_grid(
     return [float(v) for v in spec.split(",")]
 
 
+def _qab(spec: str, single: bool = False, open_ends: bool = False) -> List[float]:
+    """The Q_AB values of ``--qab``: one number if ``single``, else a grid.
+    Each must lie in [0, 0.5], or in (0, 0.5) with ``open_ends``."""
+    try:
+        values = [float(spec)] if single else _parse_grid(spec)
+    except ValueError:
+        shape = "a number" if single else "a comma list or lo:hi:steps grid of numbers"
+        raise _die_usage(f"--qab must be {shape}, got {spec}") from None
+    interval = "(0, 0.5)" if open_ends else "[0, 0.5]"
+    for q in values:
+        if not (0.0 < q < 0.5 if open_ends else 0.0 <= q <= 0.5):
+            shown = spec if len(values) == 1 else f"{q!r} in {spec}"
+            raise _die_usage(f"--qab must be in {interval}, got {shown}")
+    return values
+
+
 def _parse_int_list(spec: str) -> List[int]:
     return [int(v) for v in spec.split(",")]
 
@@ -216,9 +232,10 @@ TRIALS = Option("trials", 100_000, type=int)
 def cmd_asymptotic(conf: Dict) -> int:
     """asymptotic rate curves"""
     model = _model(conf["model"])
+    grid = _qab(conf["qab"])
     rows = []
     for parties in _parse_int_list(conf["parties"]):
-        for p_ab in _parse_grid(conf["qab"]):
+        for p_ab in grid:
             scenario = NoiseScenario(model, nu=2.0 * p_ab, parties=parties)
             probs = marginal_probabilities(scenario)
             r_bb84 = rate_bb84_asymptotic(probs.p_ab, probs.p_x)
@@ -250,7 +267,7 @@ def cmd_finite(conf: Dict) -> int:
     """optimized finite-key rates over L"""
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
-    q_ab = float(conf["qab"])
+    (q_ab,) = _qab(conf["qab"], single=True)
     grid = _parse_grid(conf["rounds"], log10=True, check=lambda v: _round_count("rounds", v))
     round_counts = [_round_count("rounds", v) for v in grid]
     rows = []
@@ -302,9 +319,10 @@ def cmd_threshold(conf: Dict) -> int:
     target = LogEps.from_eps(float(conf["eps-tot"]))
     search = _search_config(conf)
     l_max = _round_count("lmax", float(conf["lmax"]), int)
+    grid = _qab(conf["qab"], open_ends=True)
     rows = []
     for parties in _parse_int_list(conf["parties"]):
-        for q_ab in _parse_grid(conf["qab"]):
+        for q_ab in grid:
             lbar = threshold_L(q_ab, parties, target, l_max=l_max, search_config=search)
             rows.append({"q_ab": q_ab, "parties": parties, "threshold_rounds": lbar})
     rows.sort(key=lambda r: (r["parties"], r["q_ab"]))

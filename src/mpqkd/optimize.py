@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .finite_key import (
     ConfigurationError,
     KeyLengthResult,
@@ -383,11 +381,9 @@ def _logits(weights: Tuple[float, ...]) -> List[float]:
     return [min(max(math.log(w / (ec + pa)), -_LOGIT_CAP), _LOGIT_CAP) for w in rest]
 
 
-def _softmax(theta: np.ndarray) -> Tuple[float, ...]:
-    # np.exp, not math.exp, whose roundoff differs; numpy adds fewer than 8
-    # entries in order, so the plain-float sum and quotients equal
-    # z / z.sum() bit for bit
-    z = np.exp(theta - max(theta.tolist())).tolist()
+def _softmax(theta: List[float]) -> Tuple[float, ...]:
+    top = max(theta)
+    z = [math.exp(v - top) for v in theta]
     total = 0.0
     for v in z:
         total += v
@@ -582,7 +578,7 @@ def optimize_rate(
         return points[-1][0]
 
     def f(theta: List[float], k: int) -> float:
-        weights = _expand(_softmax(np.array([*theta, 0.0])))
+        weights = _expand(_softmax([*theta, 0.0]))
         return scored(weights, _left_edge(total_rounds, m_min * k))
 
     # the equal-shares point at p = 0.05 (as exp(log 0.05)) is the floor

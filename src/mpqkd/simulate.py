@@ -39,6 +39,9 @@ counts are the same for any partition, and ``_BLOCK`` changes no count.  Each
 thread holds a block's scratch of its own, so the peak memory grows with the
 number of usable CPUs.  A global-model chunk is read a block at a time from
 two streams, one over its noise words and one over its outcome words.
+
+Each function that uses numpy imports it itself, so ``import mpqkd`` loads
+no numpy; it loads on the first Monte Carlo or oracle call.
 """
 
 from __future__ import annotations
@@ -48,13 +51,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from .finite_key import Protocol, ProtocolConfig, derive_counts
 from .noise import MarginalProbabilities, NoiseModel, NoiseScenario, ObservedStats
 from .numerics import LogEps, xi_correction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimulationReport",
@@ -108,12 +112,14 @@ class SimulationReport:
 
 
 def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
 def _stream(seed_seq: np.random.SeedSequence, word: int) -> np.random.Generator:
     """``seed_seq``'s Philox stream after its first ``word`` raw words, by the
     third identity above."""
+    import numpy as np
     bit_gen = np.random.Philox(seed_seq).advance(word // 4)
     bit_gen.random_raw(word % 4)
     return np.random.Generator(bit_gen)
@@ -128,6 +134,7 @@ def _chunks(total: int, size: int) -> Iterator[int]:
 def _below(stream: np.random.Generator, shape: Tuple[int, ...], threshold: float) -> np.ndarray:
     """``stream.random(shape) < threshold`` by the first identity above, laid
     out column-major so that each Bob's column is contiguous."""
+    import numpy as np
     words = stream.bit_generator.random_raw(math.prod(shape)).reshape(shape)
     scaled = math.ceil(threshold * 2.0**53)
     if scaled >= 1 << 53:  # every word is below; 2**64 does not fit a uint64
@@ -141,6 +148,7 @@ def _bytes(stream: np.random.Generator, count: int) -> np.ndarray:
     """The first ``count`` little-endian bytes of ``stream``'s next
     ``ceil(count / 8)`` raw words; by the second identity above, their top
     bits are ``uint8`` coin flips."""
+    import numpy as np
     words = stream.bit_generator.random_raw(-(-count // 8))
     return words.astype("<u8", copy=False).view(np.uint8)[:count]
 
@@ -148,6 +156,7 @@ def _bytes(stream: np.random.Generator, count: int) -> np.ndarray:
 def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
     """Add each column's count of set flags to ``per_column``; return the
     number of rows with any flag set."""
+    import numpy as np
     any_set = np.zeros(len(flags), dtype=bool)
     for col in range(flags.shape[1]):
         per_column[col] += np.count_nonzero(flags[:, col])
@@ -155,7 +164,7 @@ def _tally_columns(flags: np.ndarray, per_column: np.ndarray) -> int:
     return int(np.count_nonzero(any_set))
 
 
-_Tally = Tuple[np.ndarray, int]  # per-column counts, rows counted
+_Tally = Tuple["np.ndarray", int]  # per-column counts, rows counted
 
 
 def _tally_local(
@@ -170,6 +179,7 @@ def _tally_local(
     C-order sequence, read ``_BLOCK`` rows at a time.  Counts each column's
     flips and the rows with any flip, or with ``parity`` only the rows with an
     odd number of flips."""
+    import numpy as np
     per_column = np.zeros(width, dtype=np.int64)
     rows_hit = 0
     stream = _stream(seed_seq, lo * width)
@@ -188,6 +198,7 @@ def _tally_global(
     """Rows ``lo:hi`` of a global-model pass of ``total`` rounds with ``width``
     outcome bits per round: per column, the noisy rounds whose outcome bit is
     set, and the noisy rounds with any bit set."""
+    import numpy as np
     per_column = np.zeros(width, dtype=np.int64)
     rows_hit = 0
     for first in range(lo - lo % _CHUNK, hi, _CHUNK):
@@ -247,6 +258,7 @@ def simulate_rounds(
     m' of them for the six-state protocol, standing in for the rounds where
     an even number of parties chose the Y basis.
     """
+    import numpy as np
     counts = derive_counts(config)
     n_bobs = scenario.parties - 1
     if scenario.parties != config.parties:
@@ -280,6 +292,7 @@ def simulate_rounds(
 
 
 def _ghz_density(parties: int) -> np.ndarray:
+    import numpy as np
     dim = 2**parties
     vec = np.zeros(dim)
     vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
@@ -287,6 +300,7 @@ def _ghz_density(parties: int) -> np.ndarray:
 
 
 def _single_qubit_op(op: np.ndarray, qubit: int, parties: int) -> np.ndarray:
+    import numpy as np
     full = np.array([[1.0]], dtype=complex)
     for q in range(parties):
         full = np.kron(full, op if q == qubit else np.eye(2))
@@ -300,6 +314,7 @@ def exact_marginals(scenario: NoiseScenario) -> MarginalProbabilities:
     bit), measures Z on every qubit for p_ab and p_z, and X on every qubit
     (via a Hadamard rotation) for the parity error p_x.
     """
+    import numpy as np
     parties = scenario.parties
     if parties > 5:
         raise ValueError(f"dense oracle supports N <= 5, got {parties}")
@@ -386,6 +401,7 @@ def sampling_lemma_experiment(
     Lambda_m and Lambda_n are the relative weights of the sampled and
     remaining parts.
     """
+    import numpy as np
     if not 1 <= m < big_m:
         raise ValueError(f"need 1 <= m < M, got m={m}, M={big_m}")
     if not 0 <= weight <= big_m:
@@ -439,6 +455,7 @@ class ECToyReport:
 
 def _ball_positions(key_bits: int, radius: int) -> np.ndarray:
     """1-bit positions of each offset of weight <= radius, padded with key_bits."""
+    import numpy as np
     rows = [
         positions + (key_bits,) * (radius - wt)
         for wt in range(radius + 1)
@@ -472,6 +489,7 @@ def ec_toy_run(
     if none match.  Failure counts trials where no Bob aborted yet some Bob
     guessed wrong; the design guarantees that frequency is at most eps_EC.
     """
+    import numpy as np
     if key_bits > 20:
         raise ValueError(f"exhaustive enumeration capped at 20 bits, got {key_bits}")
     if not 0 <= radius <= key_bits:

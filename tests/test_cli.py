@@ -393,3 +393,61 @@ def test_non_finite_round_count_in_config_file_is_usage_error(tmp_path, capsys):
 def test_empty_trial_count_is_usage_error(capsys, check):
     assert main(["validate", check, "--trials", "0"]) == 2
     assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # once "nu must be in [0, 1], got 1.2", after the optima of earlier rows
+        (["finite", "--qab", "0.6"], "--qab must be in [0, 0.5], got 0.6"),
+        (["asymptotic", "--qab", "0.6"], "--qab must be in [0, 0.5], got 0.6"),
+        (["asymptotic", "--qab", "0.05,-0.01"], "--qab must be in [0, 0.5], got -0.01 in 0.05,-0.01"),
+        (["asymptotic", "--qab", "0:0.6:4"], "--qab must be in [0, 0.5], got 0.6 in 0:0.6:4"),
+        (["finite", "--qab", "nan"], "--qab must be in [0, 0.5], got nan"),
+        # once "q_ab must be in (0, 0.5), got 0.5"
+        (["threshold", "--qab", "0.5"], "--qab must be in (0, 0.5), got 0.5"),
+        (["threshold", "--qab", "0"], "--qab must be in (0, 0.5), got 0"),
+        (["threshold", "--qab", "0.05,0.6"], "--qab must be in (0, 0.5), got 0.6 in 0.05,0.6"),
+        # once "could not convert string to float: 'abc'"
+        (["finite", "--qab", "abc"], "--qab must be a number, got abc"),
+        (["finite", "--qab", "0.01,0.02"], "--qab must be a number, got 0.01,0.02"),
+        (
+            ["asymptotic", "--qab", "abc"],
+            "--qab must be a comma list or lo:hi:steps grid of numbers, got abc",
+        ),
+        (
+            ["threshold", "--qab", "0:0.1:x"],
+            "--qab must be a comma list or lo:hi:steps grid of numbers, got 0:0.1:x",
+        ),
+    ],
+)
+def test_bad_qab_is_usage_error_naming_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_bad_qab_in_config_file_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"qab": "0.6"}))
+    with pytest.raises(SystemExit) as err:
+        main(["finite", "--config", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: --qab must be in [0, 0.5], got 0.6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["finite", "--qab", "0.5", "--rounds", "1e5"],
+        ["finite", "--qab", "0", "--rounds", "1e5"],
+        ["asymptotic", "--qab", "0,0.5", "--parties", "2"],
+        ["threshold", "--qab", "0.49", "--lmax", "4096"],
+    ],
+)
+def test_qab_range_ends_still_run(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
