@@ -2,8 +2,8 @@
 
 Emits plot-ready CSV or JSON; rendering is left to the caller's toolchain.
 Every output embeds the fully resolved parameter set (flags merged over an
-optional JSON config file, defaults filled in) plus the seed, so identical
-inputs reproduce byte-identical files.
+optional JSON config file, defaults filled in), seed included where a
+command takes one, so identical inputs reproduce byte-identical files.
 
 Each command is one table of ``Option`` rows: the parser builds its flags
 from the table, and the same rows give the defaults, the known config keys
@@ -74,39 +74,44 @@ def _round_count(key: str, value: float, convert: Callable[[float], int] = round
 
 
 def _parse_grid(
-    spec: str, log10: bool = False, check: Optional[Callable[[float], object]] = None
+    key: str, spec: str, log10: bool = False, check: Optional[Callable[[float], object]] = None
 ) -> List[float]:
-    """Grid syntax: either 'a,b,c' or 'lo:hi:steps' (inclusive linspace).
+    """The grid of ``--key``: either 'a,b,c' or 'lo:hi:steps' (inclusive linspace).
 
     ``check`` sees both ends of a lo:hi:steps grid before they are spaced.
     """
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise _die_usage(f"grid must be lo:hi:steps, got {spec!r}")
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        if check is not None:
-            check(lo)
-            check(hi)
-        if steps < 1:
-            raise _die_usage("grid needs at least one step")
-        if steps == 1:
-            return [lo]
-        if log10:
-            lo, hi = math.log10(lo), math.log10(hi)
-            return [10.0 ** (lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
-        return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    return [float(v) for v in spec.split(",")]
+    try:
+        if ":" not in spec:
+            return [float(v) for v in spec.split(",")]
+        lo, hi, steps = spec.split(":")  # three parts, or ValueError
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise _die_usage(
+            f"--{key} must be a comma list or lo:hi:steps grid of numbers, got {spec}"
+        ) from None
+    if check is not None:
+        check(lo)
+        check(hi)
+    if steps < 1:
+        raise _die_usage(f"--{key} grid needs at least one step, got {spec}")
+    if steps == 1:
+        return [lo]
+    if log10:
+        lo, hi = math.log10(lo), math.log10(hi)
+        return [10.0 ** (lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
 def _qab(spec: str, single: bool = False, open_ends: bool = False) -> List[float]:
     """The Q_AB values of ``--qab``: one number if ``single``, else a grid.
     Each must lie in [0, 0.5], or in (0, 0.5) with ``open_ends``."""
-    try:
-        values = [float(spec)] if single else _parse_grid(spec)
-    except ValueError:
-        shape = "a number" if single else "a comma list or lo:hi:steps grid of numbers"
-        raise _die_usage(f"--qab must be {shape}, got {spec}") from None
+    if single:
+        try:
+            values = [float(spec)]
+        except ValueError:
+            raise _die_usage(f"--qab must be a number, got {spec}") from None
+    else:
+        values = _parse_grid("qab", spec)
     interval = "(0, 0.5)" if open_ends else "[0, 0.5]"
     for q in values:
         if not (0.0 < q < 0.5 if open_ends else 0.0 <= q <= 0.5):
@@ -115,8 +120,19 @@ def _qab(spec: str, single: bool = False, open_ends: bool = False) -> List[float
     return values
 
 
-def _parse_int_list(spec: str) -> List[int]:
-    return [int(v) for v in spec.split(",")]
+def _parse_int_list(key: str, spec: str) -> List[int]:
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise _die_usage(f"--{key} must be a comma list of integers, got {spec}") from None
+
+
+def _eps(conf: Dict, key: str) -> LogEps:
+    """The epsilon of ``--key``, which must lie in (0, 1]."""
+    try:
+        return LogEps.from_eps(float(conf[key]))
+    except ValueError:
+        raise _die_usage(f"--{key} must be in (0, 1], got {float(conf[key])}") from None
 
 
 def _model(name: str) -> NoiseModel:
@@ -204,28 +220,16 @@ def _resolve(args: argparse.Namespace, command: Command) -> Dict:
 
 
 def _search_config(resolved: Dict) -> SearchConfig:
-    for key in ("max-evals", "starts"):
-        if int(resolved[key]) < 1:
-            raise _die_usage(f"--{key} must be at least 1, got {resolved[key]}")
-    return SearchConfig(
-        max_evaluations=int(resolved["max-evals"]),
-        starts=int(resolved["starts"]),
-        seed=int(resolved["seed"]),
-    )
+    if int(resolved["max-evals"]) < 1:
+        raise _die_usage(f"--max-evals must be at least 1, got {resolved['max-evals']}")
+    return SearchConfig(max_evaluations=int(resolved["max-evals"]))
 
 
 OUT = Option("out", None, "output path (default: stdout)")
 FORMAT = Option("format", "csv", "output format", choices=("csv", "json"))
 MODEL = Option("model", "global", choices=("global", "local"))
 SEED = Option("seed", 0, type=int)
-# the rate search is one deterministic ascent: --starts and --seed are
-# accepted (at least 1, for old command lines and config files) and change
-# nothing
-SEARCH = (
-    Option("seed", 0, "accepted; changes no result", type=int),
-    Option("starts", 8, "accepted; changes no result", type=int),
-    Option("max-evals", 5000, "most points scored per optimum", type=int),
-)
+SEARCH = Option("max-evals", 5000, "most points scored per optimum", type=int)
 TRIALS = Option("trials", 100_000, type=int)
 
 
@@ -234,7 +238,7 @@ def cmd_asymptotic(conf: Dict) -> int:
     model = _model(conf["model"])
     grid = _qab(conf["qab"])
     rows = []
-    for parties in _parse_int_list(conf["parties"]):
+    for parties in _parse_int_list("parties", conf["parties"]):
         for p_ab in grid:
             scenario = NoiseScenario(model, nu=2.0 * p_ab, parties=parties)
             probs = marginal_probabilities(scenario)
@@ -265,13 +269,15 @@ ASYMPTOTIC = (
 
 def cmd_finite(conf: Dict) -> int:
     """optimized finite-key rates over L"""
-    target = LogEps.from_eps(float(conf["eps-tot"]))
+    target = _eps(conf, "eps-tot")
     search = _search_config(conf)
     (q_ab,) = _qab(conf["qab"], single=True)
-    grid = _parse_grid(conf["rounds"], log10=True, check=lambda v: _round_count("rounds", v))
+    grid = _parse_grid(
+        "rounds", conf["rounds"], log10=True, check=lambda v: _round_count("rounds", v)
+    )
     round_counts = [_round_count("rounds", v) for v in grid]
     rows = []
-    for parties in _parse_int_list(conf["parties"]):
+    for parties in _parse_int_list("parties", conf["parties"]):
         scenario = NoiseScenario(_model(conf["model"]), nu=2.0 * q_ab, parties=parties)
         stats = expected_observed_stats(scenario)
         for total in round_counts:
@@ -308,7 +314,7 @@ FINITE = (
     Option("qab", "0.05", "observed Q_AB (other stats via the model)"),
     Option("rounds", "1e5:1e10:11", "L grid lo:hi:steps (log-spaced) or comma list"),
     Option("eps-tot", 5e-9, "total security parameter", type=float),
-    *SEARCH,
+    SEARCH,
     OUT,
     FORMAT,
 )
@@ -316,12 +322,12 @@ FINITE = (
 
 def cmd_threshold(conf: Dict) -> int:
     """six-state/BB84 crossover round counts"""
-    target = LogEps.from_eps(float(conf["eps-tot"]))
+    target = _eps(conf, "eps-tot")
     search = _search_config(conf)
     l_max = _round_count("lmax", float(conf["lmax"]), int)
     grid = _qab(conf["qab"], open_ends=True)
     rows = []
-    for parties in _parse_int_list(conf["parties"]):
+    for parties in _parse_int_list("parties", conf["parties"]):
         for q_ab in grid:
             lbar = threshold_L(q_ab, parties, target, l_max=l_max, search_config=search)
             rows.append({"q_ab": q_ab, "parties": parties, "threshold_rounds": lbar})
@@ -335,7 +341,7 @@ THRESHOLD = (
     Option("parties", "2", "comma list of party counts"),
     Option("eps-tot", 5e-9, type=float),
     Option("lmax", 1e14, type=float),
-    *SEARCH,
+    SEARCH,
     OUT,
     FORMAT,
 )
@@ -409,7 +415,7 @@ def cmd_sampling_lemma(conf: Dict) -> int:
         int(conf["sample"]),
         int(conf["weight"]),
         int(conf["trials"]),
-        LogEps.from_eps(float(conf["eps"])),
+        _eps(conf, "eps"),
         int(conf["seed"]),
     )
     trials = report.trials
@@ -445,7 +451,7 @@ SAMPLING_LEMMA = (
 
 def cmd_ec_toy(conf: Dict) -> int:
     """toy error-correction failure rate against eps_EC"""
-    eps_ec = LogEps.from_eps(float(conf["eps-ec"]))
+    eps_ec = _eps(conf, "eps-ec")
     report = ec_toy_run(
         int(conf["parties"]),
         int(conf["key-bits"]),

@@ -17,12 +17,12 @@ than an exception.
 Every formula has one private core on plain floats: the round counts, the
 eps_PE / eps_tot compositions (``neg_log2`` exponents in, both exponents
 out, each a fixed-arity log-sum-exp), the Gamma_PE corner and the
-key-length terms.  The cores take what depends only on N and L (log2(N-1),
-the postselection bits) and what depends only on p (``_round_terms``: m, n,
-m', L h(p), ln(m+1), ln(m'+1)) precomputed, so the rate optimizer computes
-each once per optimum or once per p and scores each candidate point through
-these cores alone.  The public functions validate their arguments, build
-the same terms with the same helpers, call the same cores and wrap the
+key-length terms.  The two key lengths differ only in their min-entropy,
+leakage and postselection terms; one shared tail adds the EC and PA terms,
+handles a vacuous eps_rob and sums.  ``_composer`` and ``_length_core`` bind
+what depends only on N and L (log2(N-1), the postselection bits), so the
+rate optimizer scores each candidate point through these cores alone.  The
+public functions validate their arguments, call the same cores and wrap the
 results in ``LogEps``, ``KeyLengthResult`` and friends, so objects are built
 only for the points a caller asks about.
 """
@@ -112,17 +112,6 @@ def _counts(kind: Protocol, total_rounds: int, p: float) -> Tuple[int, int, int]
     return m, n, m_prime
 
 
-# what the key-length cores take from p: m, n, m', the preshared cost L h(p),
-# ln(m+1) and ln(m'+1)
-_Rounds = Tuple[int, int, int, float, float, float]
-
-
-def _round_terms(kind: Protocol, total_rounds: int, p: float) -> _Rounds:
-    m, n, m_prime = _counts(kind, total_rounds, p)
-    preshared = total_rounds * binary_entropy(p)
-    return m, n, m_prime, preshared, math.log(m + 1), math.log(m_prime + 1)
-
-
 def _check_stats(kind: Protocol, parties: int, stats: ObservedStats) -> None:
     if len(stats.q_ab) != parties - 1:
         raise ValueError("need one Q_AB entry per Bob")
@@ -183,6 +172,18 @@ def _compose_nsixstate(negs, log2_bobs: float, ps_bits: float) -> Tuple[float, f
     bar, z, x, zp, ec, pa = negs
     pe = _log_sum(zp, z - log2_bobs, x)
     return pe, _log_sum(bar - 1.0, pe, ec, pa) - ps_bits
+
+
+def _composer(
+    kind: Protocol, parties: int, total_rounds: int
+) -> Callable[..., Tuple[float, float]]:
+    """The composition of ``kind``, with log2(N-1) (and for six-state the
+    postselection bits) bound: it takes the component exponents."""
+    log2_bobs = math.log2(parties - 1)
+    if kind is Protocol.N_BB84:
+        return partial(_compose_nbb84, log2_bobs=log2_bobs)
+    ps_bits = postselection_bits(parties, total_rounds)
+    return partial(_compose_nsixstate, log2_bobs=log2_bobs, ps_bits=ps_bits)
 
 
 def epsilon_pe_nbb84(budget: SecurityBudget, parties: int) -> LogEps:
@@ -342,25 +343,16 @@ def _box_corner(
 
 
 def _gamma_corner(
-    stats: ObservedStats,
-    neg_z: float,
-    neg_x: float,
-    neg_zp: float,
-    m: int,
-    m_prime: int,
-    log_m1: float,
-    log_mp1: float,
+    stats: ObservedStats, neg_z: float, neg_x: float, neg_zp: float, m: int, m_prime: int
 ) -> Optional[Tuple[float, float, float, float, float]]:
-    """``_box_corner`` of the box with half-widths 2 eta from the exponents.
-
-    ``log_m1`` and ``log_mp1`` are ln(m+1) and ln(m'+1).
-    """
+    """``_box_corner`` of the box with half-widths 2 eta from the exponents."""
+    log_m1 = math.log(m + 1)
     return _box_corner(
         stats.q_ab,
         stats.q_x,
         stats.q_z,
         _eta(neg_z, 2, m, log_m1),
-        _eta(neg_x, 2, m_prime, log_mp1),
+        _eta(neg_x, 2, m_prime, math.log(m_prime + 1)),
         _eta(neg_zp, 2, m, log_m1),
     )
 
@@ -394,8 +386,7 @@ def gamma_pe_infimum(
     if m < 1 or m_prime < 1:
         raise ValueError(f"m and m' must be >= 1, got m={m}, m'={m_prime}")
     _, neg_z, neg_x, neg_zp, _, _ = _negs(budget, Protocol.N_SIX_STATE)
-    logs = math.log(m + 1), math.log(m_prime + 1)
-    return _gamma_result(_gamma_corner(stats, neg_z, neg_x, neg_zp, m, m_prime, *logs))
+    return _gamma_result(_gamma_corner(stats, neg_z, neg_x, neg_zp, m, m_prime))
 
 
 def _pa_term(neg_rob: float, neg_pa: float) -> float:
@@ -414,75 +405,87 @@ def _rob(neg_pe: float, parties: int) -> float:
 _Length = Tuple[Tuple[float, ...], float, float, bool, Optional[Tuple[float, float, float]]]
 
 
-def _nbb84_length(
-    parties: int, rounds: _Rounds, stats: ObservedStats, negs, neg_pe: float
+def _length_tail(
+    parties: int, negs, neg_pe: float, min_entropy, leakage, ps_penalty, preshared, witness
 ) -> _Length:
-    z, x, ec, pa = negs
-    m, n, _, preshared, _, _ = rounds
+    """The key length from a protocol's min-entropy, leakage and postselection
+    terms: the EC and PA terms (of the last two exponents), eps_rob and sums.
+
+    A NaN min-entropy term marks a point the protocol found infeasible, and
+    makes the PA term NaN; otherwise eps_rob >= 1 makes it -inf.
+    """
+    ec, pa = negs[-2:]
+    ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
+    neg_rob = _rob(neg_pe, parties)
+    feasible = neg_rob > 0.0 and not math.isnan(min_entropy)
+    if feasible:
+        pa_term = _pa_term(neg_rob, pa)
+        raw = min_entropy + leakage + ec_log_term + pa_term + ps_penalty
+    else:
+        pa_term = math.nan if math.isnan(min_entropy) else -math.inf
+        raw = -math.inf
+    terms = (min_entropy, leakage, ec_log_term, pa_term, ps_penalty, preshared)
+    return terms, raw, raw - preshared, feasible, witness
+
+
+def _nbb84_length(
+    parties: int, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe: float
+) -> _Length:
+    z, x, _, _ = negs
+    m, n, _ = _counts(Protocol.N_BB84, total_rounds, p)
+    preshared = total_rounds * binary_entropy(p)
     xi_x = _xi(x, n, m)
     xi_z = _xi(z, n, m)
     h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * xi_x))
     h_ab = max(binary_entropy(_clamp_half(q + 2.0 * xi_z)) for q in stats.q_ab)
-    neg_rob = _rob(neg_pe, parties)
-
-    min_entropy_term = n * (1.0 - h_x)
-    leakage_term = -n * h_ab
-    ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
-
-    if neg_rob <= 0.0:  # abort probability bound reaches 1
-        terms = (min_entropy_term, leakage_term, ec_log_term, -math.inf, 0.0, preshared)
-        return terms, -math.inf, -math.inf, False, None
-
-    pa_term = _pa_term(neg_rob, pa)
-    raw = min_entropy_term + leakage_term + ec_log_term + pa_term
-    terms = (min_entropy_term, leakage_term, ec_log_term, pa_term, 0.0, preshared)
-    return terms, raw, raw - preshared, True, None
+    return _length_tail(parties, negs, neg_pe, n * (1.0 - h_x), -n * h_ab, 0.0, preshared, None)
 
 
 def _nsixstate_length(
-    parties: int, ps_bits: float, rounds: _Rounds, stats: ObservedStats, negs, neg_pe: float
+    parties: int, ps_penalty: float, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe
 ) -> _Length:
-    bar, z, x, zp, ec, pa = negs
-    m, n, m_prime, preshared, log_m1, log_mp1 = rounds
-    corner = _gamma_corner(stats, z, x, zp, m, m_prime, log_m1, log_mp1)
-    neg_rob = _rob(neg_pe, parties)
-
-    ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
-    ps_penalty = -2.0 * ps_bits
-
-    if corner is None or neg_rob <= 0.0:
-        terms = (math.nan, math.nan, ec_log_term, math.nan, ps_penalty, preshared)
-        return terms, -math.inf, -math.inf, False, None
-
-    entropy, h_ab, *witness = corner
+    bar, z, x, zp, _, _ = negs
+    m, n, m_prime = _counts(Protocol.N_SIX_STATE, total_rounds, p)
+    preshared = total_rounds * binary_entropy(p)
+    corner = _gamma_corner(stats, z, x, zp, m, m_prime)
+    if corner is None or _rob(neg_pe, parties) <= 0.0:  # an empty box, or eps_rob >= 1
+        return _length_tail(parties, negs, neg_pe, math.nan, math.nan, ps_penalty, preshared, None)
+    entropy, h_ab = corner[:2]
     # eps_rob < 1 forces eps_PE < 1/2, so log2(1/(2 eps_PE)) > 0 here
     aep_min = 5.0 * math.sqrt(bar / n)
     aep_leak = math.log2(5.0) * math.sqrt(2.0 * (neg_pe - 1.0) / n)
-
-    min_entropy_term = n * (entropy - aep_min)
-    leakage_term = -n * (h_ab + aep_leak)
-    pa_term = _pa_term(neg_rob, pa)
-
-    raw = min_entropy_term + leakage_term + ec_log_term + pa_term + ps_penalty
-    terms = (min_entropy_term, leakage_term, ec_log_term, pa_term, ps_penalty, preshared)
-    return terms, raw, raw - preshared, True, tuple(witness)
+    min_entropy = n * (entropy - aep_min)
+    leakage = -n * (h_ab + aep_leak)
+    return _length_tail(
+        parties, negs, neg_pe, min_entropy, leakage, ps_penalty, preshared, corner[2:]
+    )
 
 
 def _length_core(kind: Protocol, parties: int, total_rounds: int) -> Callable[..., _Length]:
-    """The key-length core of ``kind``, with N (and for six-state the
-    postselection bits) bound: it takes (rounds, stats, negs, neg_pe)."""
+    """The key-length core of ``kind``, with N and L (and for six-state the
+    postselection penalty) bound: it takes (p, stats, negs, neg_pe)."""
     if kind is Protocol.N_BB84:
-        return partial(_nbb84_length, parties)
-    return partial(_nsixstate_length, parties, postselection_bits(parties, total_rounds))
+        return partial(_nbb84_length, parties, total_rounds)
+    ps_penalty = -2.0 * postselection_bits(parties, total_rounds)
+    return partial(_nsixstate_length, parties, ps_penalty, total_rounds)
 
 
-def _key_length_result(length: _Length, neg_tot: float, total_rounds: int) -> KeyLengthResult:
-    terms, raw, net, feasible, witness = length
+def _key_length(
+    kind: Protocol, label: str, config: ProtocolConfig, stats: ObservedStats, budget: SecurityBudget
+) -> KeyLengthResult:
+    """``key_length_*`` of ``kind`` (called ``label`` in errors)."""
+    if config.kind is not kind:
+        raise ValueError(f"config is for {config.kind}, not {label}")
+    _check_stats(kind, config.parties, stats)
+    negs = _negs(budget, kind)
+    neg_pe, neg_tot = _composer(kind, config.parties, config.total_rounds)(negs)
+    core = _length_core(kind, config.parties, config.total_rounds)
+    terms, raw, net, feasible, witness = core(config.second_type_prob, stats, negs, neg_pe)
     eps_tot = LogEps(neg_tot)
     return KeyLengthResult(
         raw_length=raw,
         net_length=net,
-        rate=max(net, 0.0) / total_rounds,
+        rate=max(net, 0.0) / config.total_rounds,
         terms=KeyLengthTerms(*terms),
         eps_tot=eps_tot,
         feasible=feasible,
@@ -502,14 +505,7 @@ def key_length_nbb84(
     Entropy arguments clamp to [0, 1/2]: past 1/2 the underlying bound is
     vacuous and letting h decrease again would inflate the key.
     """
-    if config.kind is not Protocol.N_BB84:
-        raise ValueError(f"config is for {config.kind}, not N-BB84")
-    _check_stats(config.kind, config.parties, stats)
-    negs = _negs(budget, config.kind)
-    neg_pe, neg_tot = _compose_nbb84(negs, math.log2(config.parties - 1))
-    rounds = _round_terms(config.kind, config.total_rounds, config.second_type_prob)
-    length = _nbb84_length(config.parties, rounds, stats, negs, neg_pe)
-    return _key_length_result(length, neg_tot, config.total_rounds)
+    return _key_length(Protocol.N_BB84, "N-BB84", config, stats, budget)
 
 
 def key_length_nsixstate(
@@ -527,12 +523,4 @@ def key_length_nsixstate(
     the last line is the postselection penalty.  The square-root corrections
     read exponents from the log domain directly.
     """
-    if config.kind is not Protocol.N_SIX_STATE:
-        raise ValueError(f"config is for {config.kind}, not N-six-state")
-    negs = _negs(budget, config.kind)
-    _check_stats(config.kind, config.parties, stats)
-    ps_bits = postselection_bits(config.parties, config.total_rounds)
-    neg_pe, neg_tot = _compose_nsixstate(negs, math.log2(config.parties - 1), ps_bits)
-    rounds = _round_terms(config.kind, config.total_rounds, config.second_type_prob)
-    length = _nsixstate_length(config.parties, ps_bits, rounds, stats, negs, neg_pe)
-    return _key_length_result(length, neg_tot, config.total_rounds)
+    return _key_length(Protocol.N_SIX_STATE, "N-six-state", config, stats, budget)

@@ -133,7 +133,7 @@ def eta_correction(eps: LogEps, d: int, m: int) -> float:
 
 
 def _eta(neg_log2: float, d: int, m: int, log_m1: float) -> float:
-    """``eta_correction`` on an exponent, given ln(m+1) (the cores take it per p)."""
+    """``eta_correction`` on an exponent, given ln(m+1)."""
     radicand = (neg_log2 * _LN2 + d * log_m1) / (8.0 * m)
     if radicand < 0.0:
         raise ValueError("negative radicand: eps exceeds (m+1)^d")

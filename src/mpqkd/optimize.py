@@ -48,12 +48,10 @@ from .finite_key import (
     _box_corner,
     _check_stats,
     _clamp_half,
-    _compose_nbb84,
-    _compose_nsixstate,
+    _composer,
     _length_core,
     _pa_term,
     _rob,
-    _round_terms,
     budget_components,
     key_length_nbb84,
     key_length_nsixstate,
@@ -99,9 +97,10 @@ class SearchConfig:
     """The most points one optimum scores; ``starts`` and ``seed`` change nothing.
 
     The search is one deterministic Newton ascent, so it has no starts to
-    count and draws nothing at random.  ``starts`` and ``seed`` are still
-    accepted, and both caps must be at least 1, so that existing callers and
-    config files keep working.
+    count and draws nothing at random, and no command-line flag sets either
+    field.  They stay, in this order, because callers such as the benchmark
+    workloads build ``SearchConfig(max_evaluations, starts, seed)``
+    positionally; both caps must be at least 1.
     """
 
     max_evaluations: int = 5000
@@ -166,19 +165,13 @@ def _splitter(
 ) -> Callable[[Tuple[float, ...]], Tuple[List[float], float, float]]:
     """``_split`` at one (kind, N, L, target), as a function of the weights.
 
-    What does not depend on the weights is computed once: log2(N-1), the
-    postselection bits and the six-state inner exponent.
+    What does not depend on the weights is computed once: the composition
+    (``_composer``) and the six-state inner exponent.
     """
     bb84 = kind is Protocol.N_BB84
-    log2_bobs = math.log2(parties - 1)
-    ps_bits = 0.0 if bb84 else postselection_bits(parties, total_rounds)
-    neg_inner = target + ps_bits
+    composed = _composer(kind, parties, total_rounds)
+    neg_inner = target + (0.0 if bb84 else postselection_bits(parties, total_rounds))
     scale = (2.0, 2.0, 1.0, 1.0) if bb84 else (1.0,) * 6
-
-    def composed(negs: List[float]) -> Tuple[float, float]:
-        if bb84:
-            return _compose_nbb84(negs, log2_bobs)
-        return _compose_nsixstate(negs, log2_bobs, ps_bits)
 
     def split(weights: Tuple[float, ...]) -> Tuple[List[float], float, float]:
         if bb84:
@@ -338,8 +331,7 @@ def _certified_zero(
                 return False
             if bound >= -slack:
                 p = min(max((math.isqrt(lo * hi) + 0.5) / total_rounds, p_min), p_max)
-                rounds = _round_terms(kind, total_rounds, p)
-                if length(rounds, stats, negs, neg_pe)[2] >= -slack:
+                if length(p, stats, negs, neg_pe)[2] >= -slack:
                     return False
                 heapq.heappush(unsettled, (-bound, lo, hi))
         if not unsettled:
@@ -400,7 +392,7 @@ def _scorer(
 
     def score(weights: Tuple[float, ...], p: float) -> float:
         negs, neg_pe, _ = split(weights)
-        return length(_round_terms(kind, total_rounds, p), stats, negs, neg_pe)[2]
+        return length(p, stats, negs, neg_pe)[2]
 
     return score
 

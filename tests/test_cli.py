@@ -59,7 +59,7 @@ def test_asymptotic_local_model_ordering(capsys):
 
 def test_byte_identical_reruns(capsys, tmp_path):
     argv = ["finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e5,1e6",
-            "--seed", "5", "--starts", "2", "--max-evals", "300"]
+            "--max-evals", "300"]
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     assert main(argv + ["--out", str(first)]) == 0
@@ -71,8 +71,7 @@ def test_byte_identical_reruns(capsys, tmp_path):
 def test_finite_header_echoes_eps_tot(capsys):
     code, out = run_cli(
         capsys,
-        ["finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e5",
-         "--starts", "1", "--max-evals", "150"],
+        ["finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e5", "--max-evals", "150"],
     )
     assert code == 0
     config_line = out.splitlines()[1]
@@ -92,13 +91,24 @@ def test_config_file_merging(capsys, tmp_path):
     assert [row["p_ab"] for row in doc["rows"]] == [0.03]
 
 
-def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("asymptotic", "nonsense"),
+        # removed from the rate search, which never used them
+        ("finite", "starts"),
+        ("finite", "seed"),
+        ("threshold", "starts"),
+        ("threshold", "seed"),
+    ],
+)
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, key):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"nonsense": 1}))
+    conf.write_text(json.dumps({key: 1}))
     with pytest.raises(SystemExit) as err:
-        main(["asymptotic", "--config", str(conf)])
+        main([command, "--config", str(conf)])
     assert err.value.code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -129,7 +139,7 @@ def test_finite_rates_nondecreasing_and_small_l_rows(capsys):
     code, out = run_cli(
         capsys,
         ["finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e3,1e5,1e7,1e9",
-         "--seed", "9", "--starts", "3", "--max-evals", "800", "--format", "json"],
+         "--max-evals", "800", "--format", "json"],
     )
     assert code == 0
     doc = json.loads(out)
@@ -145,7 +155,7 @@ def test_threshold_command_reports_none_below_lmax(capsys):
     code, out = run_cli(
         capsys,
         ["threshold", "--qab", "0.05", "--parties", "2", "--lmax", "4096",
-         "--starts", "2", "--max-evals", "300", "--format", "csv"],
+         "--max-evals", "300", "--format", "csv"],
     )
     assert code == 0
     data_row = out.strip().splitlines()[-1]
@@ -191,7 +201,7 @@ def test_finite_shares_are_plain_numbers(capsys, fmt):
     code, out = run_cli(
         capsys,
         ["finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e5,1e6",
-         "--starts", "2", "--max-evals", "300", "--format", fmt],
+         "--max-evals", "300", "--format", fmt],
     )
     assert code == 0
     if fmt == "json":
@@ -228,7 +238,7 @@ def test_golden_stdout_bytes(capsys, case):
         ("asymptotic", {"format": "xml"}, "format"),
         ("asymptotic", {"command": "finite"}, "command"),  # not a settable key
         ("asymptotic", {"parties": 2}, "parties"),  # lists are parsed from text
-        ("finite", {"seed": "abc"}, "seed"),  # rejected by the flag's type
+        ("finite", {"seed": "abc"}, "seed"),  # no longer a key of finite
         ("simulate", {"parties": 3.9, "rounds": 20000}, "parties"),  # int() would truncate
         ("simulate", {"seed": True, "rounds": 20000}, "seed"),  # int() would take it as 1
         ("simulate", {"noise": True, "rounds": 20000}, "noise"),  # float() would take it as 1.0
@@ -293,8 +303,9 @@ def test_threshold_help_shows_grid_syntax(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["finite", "--starts", "-3"], "--starts"),  # once ran as one start
-        (["finite", "--starts", "0"], "--starts"),
+        (["threshold", "--max-evals", "-5"], "--max-evals"),
+        # the last of a repeated flag counts
+        (["finite", "--max-evals", "300", "--max-evals", "0"], "--max-evals"),
         (["finite", "--max-evals", "0"], "--max-evals"),  # once printed the start points
         (["finite", "--max-evals", "-5"], "--max-evals"),
         (["threshold", "--max-evals", "0"], "--max-evals"),
@@ -309,11 +320,11 @@ def test_empty_search_is_usage_error(capsys, argv, flag):
 
 def test_empty_search_in_config_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "conf.json"
-    path.write_text(json.dumps({"starts": 0}))
+    path.write_text(json.dumps({"max-evals": 0}))
     with pytest.raises(SystemExit) as err:
         main(["finite", "--config", str(path)])
     assert err.value.code == 2
-    assert "--starts" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --max-evals must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize(
@@ -322,9 +333,9 @@ def test_empty_search_in_config_file_is_usage_error(tmp_path, capsys):
         (["threshold", "--lmax", "inf"], "--lmax"),
         (["simulate", "--rounds", "inf"], "--rounds"),
         (["simulate", "--rounds", "1e400"], "--rounds"),
-        (["finite", "--rounds", "1e5,inf", "--starts", "1", "--max-evals", "50"], "--rounds"),
+        (["finite", "--rounds", "1e5,inf", "--max-evals", "50"], "--rounds"),
         # the log-spaced grid's ends are checked before they are spaced
-        (["finite", "--rounds", "1e5:inf:3", "--starts", "1", "--max-evals", "50"], "--rounds"),
+        (["finite", "--rounds", "1e5:inf:3", "--max-evals", "50"], "--rounds"),
     ],
 )
 def test_non_finite_round_count_is_usage_error(capsys, argv, flag):
@@ -346,7 +357,7 @@ def test_non_finite_round_count_is_usage_error(capsys, argv, flag):
 )
 def test_round_count_below_one_is_usage_error(capsys, rounds, shown):
     with pytest.raises(SystemExit) as err:
-        main(["finite", f"--rounds={rounds}", "--starts", "1", "--max-evals", "50"])
+        main(["finite", f"--rounds={rounds}", "--max-evals", "50"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --rounds must be at least 1, got {shown}\n"
@@ -451,3 +462,40 @@ def test_bad_qab_in_config_file_names_the_flag(tmp_path, capsys):
 def test_qab_range_ends_still_run(capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # once "grid must be lo:hi:steps, got '0.0:0.1'"
+        (
+            ["asymptotic", "--qab", "0.0:0.1"],
+            "--qab must be a comma list or lo:hi:steps grid of numbers, got 0.0:0.1",
+        ),
+        (["asymptotic", "--qab", "0:0.1:0"], "--qab grid needs at least one step, got 0:0.1:0"),
+        # once "could not convert string to float: 'abc'"
+        (
+            ["finite", "--rounds", "abc"],
+            "--rounds must be a comma list or lo:hi:steps grid of numbers, got abc",
+        ),
+        (
+            ["finite", "--rounds", "1e5:1e6:2:3"],
+            "--rounds must be a comma list or lo:hi:steps grid of numbers, got 1e5:1e6:2:3",
+        ),
+        # once "invalid literal for int() with base 10: 'x'"
+        (["asymptotic", "--parties", "2,x"], "--parties must be a comma list of integers, got 2,x"),
+        (["threshold", "--parties", "2.5"], "--parties must be a comma list of integers, got 2.5"),
+        # once "eps must be in (0, 1], got 0.0"
+        (["finite", "--eps-tot", "0"], "--eps-tot must be in (0, 1], got 0.0"),
+        (["threshold", "--eps-tot", "1.5"], "--eps-tot must be in (0, 1], got 1.5"),
+        (["validate", "sampling-lemma", "--eps", "-1"], "--eps must be in (0, 1], got -1.0"),
+        (["validate", "ec-toy", "--eps-ec", "nan"], "--eps-ec must be in (0, 1], got nan"),
+    ],
+)
+def test_bad_grid_list_or_epsilon_names_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

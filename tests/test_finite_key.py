@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpqkd.finite_key import (
@@ -572,6 +572,58 @@ class TestNetKeyLength:
         assert net_key_length(5000.0, 10**4, 0.05) == pytest.approx(
             2136.0304288404387, rel=1e-12
         )
+
+
+class TestSharedTail:
+    """Both evaluators end in one tail: its sums, and its infeasible branches."""
+
+    BB84_VACUOUS = [1.0, 1.0, 30.0, 30.0, 30.0, 30.0]  # eps_rob >= 1 at N = 5
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 10),
+        log10_rounds=st.floats(1.0, 15.0),
+        p=st.floats(1e-6, 0.49),
+        q_ab=st.lists(st.floats(0.0, 0.5), min_size=9, max_size=9),
+        q_x=st.floats(0.0, 0.5),
+        q_z=st.floats(0.0, 1.0),
+        negs=st.lists(st.floats(0.0, 300.0), min_size=6, max_size=6),
+    )
+    @example(Protocol.N_BB84, 5, 6.0, 0.1, [0.05] * 9, 0.05, 0.075, BB84_VACUOUS)
+    @example(Protocol.N_SIX_STATE, 2, 12.0, 0.1, [0.02] * 9, 0.0, 0.6, [60.0] * 6)  # empty box
+    @example(Protocol.N_SIX_STATE, 3, 6.0, 0.1, [0.05] * 9, 0.05, 0.075, [1.0] * 4 + [30.0] * 2)
+    @example(Protocol.N_SIX_STATE, 10, 15.0, 1e-4, [0.01] * 9, 0.01, 0.02, [300.0] * 6)
+    def test_terms_sum_to_raw_or_mark_the_point_infeasible(
+        self, kind, parties, log10_rounds, p, q_ab, q_x, q_z, negs
+    ):
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = ObservedStats(q_ab=q_ab[: parties - 1], q_x=q_x, q_z=q_z)
+        config = ProtocolConfig(kind, parties, total_rounds, p)
+        try:
+            if kind is Protocol.N_BB84:
+                budget = bb84_budget(*negs[:4])
+                res = key_length_nbb84(config, stats, budget)
+            else:
+                res = key_length_nsixstate(config, stats, six_budget(*negs))
+        except ConfigurationError:
+            return  # too few rounds of some kind at this (L, p)
+        t = res.terms
+        if res.feasible:
+            raw = t.min_entropy_term + t.leakage_term + t.ec_log_term + t.pa_term + t.ps_penalty
+            assert repr(res.raw_length) == repr(raw)
+            assert repr(res.net_length) == repr(res.raw_length - t.preshared_cost)
+            return
+        assert res.raw_length == res.net_length == -math.inf
+        if kind is Protocol.N_SIX_STATE:
+            assert all(math.isnan(v) for v in (t.min_entropy_term, t.leakage_term, t.pa_term))
+            assert res.witness is None
+        else:
+            # eps_rob = 2 (N-1) eps_PE >= 1 is N-BB84's only infeasible point
+            neg_pe = epsilon_pe_nbb84(budget, parties).neg_log2
+            assert neg_pe <= math.log2(2.0 * (parties - 1))
+            assert math.isfinite(t.min_entropy_term) and math.isfinite(t.leakage_term)
+            assert t.pa_term == -math.inf
 
 
 # ------------------------------------------------------------------ golden

@@ -82,12 +82,12 @@ class TestAllocateBudget:
     @pytest.mark.parametrize("kind", list(Protocol))
     def test_raises_when_target_never_met(self, monkeypatch, kind):
         # a composition stuck one bit above the target defeats every pass;
-        # the correction passes compose through the (eps_PE, eps_tot) cores
-        def stuck(*args):
+        # the correction passes compose through the (eps_PE, eps_tot) core
+        # that _composer binds
+        def stuck(negs):
             return TARGET.neg_log2, TARGET.neg_log2 - 1.0
 
-        monkeypatch.setattr(optimize, "_compose_nbb84", stuck)
-        monkeypatch.setattr(optimize, "_compose_nsixstate", stuck)
+        monkeypatch.setattr(optimize, "_composer", lambda *args: stuck)
         k = len(budget_components(kind))
         shares = BudgetShares(0.05, tuple([1.0 / k] * k))
         with pytest.raises(ValueError, match="exceeds the target by 1 bits"):

@@ -27,7 +27,7 @@ RECIPES = [
 SNIPPETS = [body for lang, body in BLOCKS if lang == "python"]
 
 OPTIONS = {c.word: {o.key for o in c.options} for c in COMMANDS + VALIDATE_CHECKS}
-CHEAP = (("starts", "1"), ("max-evals", "100"), ("trials", "2000"))
+CHEAP = (("max-evals", "100"), ("trials", "2000"))
 
 
 def _word(argv):

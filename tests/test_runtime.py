@@ -12,7 +12,7 @@ import mpqkd
 
 FINITE_ARGV = [
     "finite", "--qab", "0.05", "--parties", "2", "--rounds", "1e5,1e6",
-    "--starts", "2", "--max-evals", "300", "--format", "csv",
+    "--max-evals", "300", "--format", "csv",
 ]
 ASYMPTOTIC_ARGV = ["asymptotic", "--parties", "2,5", "--qab", "0.0:0.1:3", "--format", "csv"]
 

@@ -1,10 +1,11 @@
 """Point scoring of the rate optimizer: bit identity with the plain formulas.
 
-The optimizer scores each point from per-optimum constants, fixed-arity
-compositions and a softmax on plain floats.  These tests hold each piece
-bit for bit to the formula it replaced, and every score the optimizer takes
-to one computed afresh.  They also hold the key-length cores to a property
-of p within one step of m = floor(L p).
+The optimizer scores each point through fixed-arity compositions, the
+key-length cores and a softmax on plain floats.  These tests hold the
+compositions bit for bit to the pairwise sums they replaced, and every score
+the optimizer takes to one computed afresh from that point's weights and p.
+They also hold the key-length cores to a property of p within one step of
+m = floor(L p).
 
 This module imports neither scipy nor mpmath.  The softmax is held to
 quotients over an exactly rounded sum, within a few ULPs, and the
@@ -26,7 +27,6 @@ from mpqkd.finite_key import (
     _compose_nbb84,
     _compose_nsixstate,
     _length_core,
-    _round_terms,
     postselection_bits,
     postselection_exponent,
 )
@@ -183,13 +183,12 @@ class TestCompositions:
             )
 
 
-class TestMemoizedScores:
-    """Every point optimize_rate scores gets the terms a fresh split gives.
+class TestScoresAreFresh:
+    """Every point optimize_rate scores gets the exponents a fresh split gives.
 
     The scorer sees each point's weights and p, and the key-length core sees
-    the round terms and exponents the per-optimum scorer handed it; both are
-    compared with ``_round_terms`` and ``_split`` computed afresh at that
-    point.
+    the p and exponents the scorer handed it; both are compared with that
+    point's p and with ``_split`` computed afresh at its weights.
     """
 
     @pytest.mark.parametrize("kind", list(Protocol))
@@ -214,17 +213,16 @@ class TestMemoizedScores:
         def spy_core(*args):
             core = length_core(*args)
 
-            def checked(rounds, stats_, negs, neg_pe):
-                got = core(rounds, stats_, negs, neg_pe)
+            def checked(p, stats_, negs, neg_pe):
+                got = core(p, stats_, negs, neg_pe)
                 if not point:
                     return got  # the zero-rate certificate, before any point
-                fresh_rounds = _round_terms(kind, total_rounds, point["p"])
                 fresh_negs, fresh_pe, _ = optimize._split(
                     kind, parties, total_rounds, target, point["weights"]
                 )
-                assert rounds == fresh_rounds
+                assert bits([p]) == bits([point["p"]])
                 assert bits([*negs, neg_pe]) == bits([*fresh_negs, fresh_pe])
-                fresh = core(fresh_rounds, stats_, fresh_negs, fresh_pe)
+                fresh = core(point["p"], stats_, fresh_negs, fresh_pe)
                 assert repr(got) == repr(fresh)
                 seen["points"] += 1
                 return got
@@ -251,6 +249,8 @@ class TestWithinOneStepOfM:
         u_hi=st.floats(0.0, 1.0),
         log_weights=LOG_WEIGHTS,
     )
+    # m = (L - 1) // 2 at odd L puts p2 past 1/2
+    @example(Protocol.N_BB84, 2, 3.75, 0.125, 1.0, 1.0, 0.5, 0.75, [0.0] * 6)
     def test_net_length_never_rises_with_p(
         self, kind, parties, log10_rounds, q_ab, target_neg, u_m, u_lo, u_hi, log_weights
     ):
@@ -266,12 +266,14 @@ class TestWithinOneStepOfM:
         p1, p2 = (m + lo) / total_rounds, (m + hi) / total_rounds
         if not (math.floor(total_rounds * p1) == math.floor(total_rounds * p2) == m):
             return  # roundoff left the step
+        if p2 >= 0.5:
+            return  # past 1/2, where h(p) falls; no config or optimum has such a p
         stats = stats_from_qab_global(q_ab, parties)
         weights = log_uniform_shares(kind, 0.1, log_weights).weights
         negs, neg_pe, _ = optimize._split(kind, parties, total_rounds, target_neg, weights)
         core = _length_core(kind, parties, total_rounds)
-        first = core(_round_terms(kind, total_rounds, p1), stats, negs, neg_pe)
-        second = core(_round_terms(kind, total_rounds, p2), stats, negs, neg_pe)
+        first = core(p1, stats, negs, neg_pe)
+        second = core(p2, stats, negs, neg_pe)
         assert repr(first[1]) == repr(second[1])  # the raw length is the same
         # binary_entropy may lose monotonicity by a few ULPs, times L
         assert second[2] <= first[2] + 8.0 * math.ulp(float(total_rounds))

@@ -17,7 +17,6 @@ from mpqkd.finite_key import (
     ProtocolConfig,
     _length_core,
     _rob,
-    _round_terms,
     budget_components,
     key_length_nsixstate,
 )
@@ -59,8 +58,7 @@ def certified(kind, parties, total_rounds, stats, target):
 
 def core_net(kind, parties, total_rounds, p, stats, negs, neg_pe):
     """The key-length core's net length at p."""
-    rounds = _round_terms(kind, total_rounds, p)
-    return _length_core(kind, parties, total_rounds)(rounds, stats, negs, neg_pe)[2]
+    return _length_core(kind, parties, total_rounds)(p, stats, negs, neg_pe)[2]
 
 
 class TestBound:
