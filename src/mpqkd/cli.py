@@ -58,18 +58,17 @@ def _die_usage(message: str) -> "SystemExit":
     return SystemExit(USAGE_ERROR)
 
 
-def _finite(key: str, value: float) -> float:
-    """``value``, which becomes a round count, so it must be finite."""
-    if not math.isfinite(value):
-        raise _die_usage(f"--{key} must be finite, got {value}")
-    return value
+def _require(ok: bool, key: str, bounds: str, shown: object) -> None:
+    """Exit 2 naming ``--key`` and the value ``shown`` unless ``ok``."""
+    if not ok:
+        raise _die_usage(f"--{key} must be {bounds}, got {shown}")
 
 
 def _round_count(key: str, value: float, convert: Callable[[float], int] = round) -> int:
     """``value`` made a round count by ``convert``; it must be finite and at least 1."""
-    total = int(convert(_finite(key, value)))
-    if total < 1:
-        raise _die_usage(f"--{key} must be at least 1, got {value}")
+    _require(math.isfinite(value), key, "finite", value)
+    total = int(convert(value))
+    _require(total >= 1, key, "at least 1", value)
     return total
 
 
@@ -114,17 +113,20 @@ def _qab(spec: str, single: bool = False, open_ends: bool = False) -> List[float
         values = _parse_grid("qab", spec)
     interval = "(0, 0.5)" if open_ends else "[0, 0.5]"
     for q in values:
-        if not (0.0 < q < 0.5 if open_ends else 0.0 <= q <= 0.5):
-            shown = spec if len(values) == 1 else f"{q!r} in {spec}"
-            raise _die_usage(f"--qab must be in {interval}, got {shown}")
+        ok = 0.0 < q < 0.5 if open_ends else 0.0 <= q <= 0.5
+        _require(ok, "qab", f"in {interval}", spec if len(values) == 1 else f"{q!r} in {spec}")
     return values
 
 
-def _parse_int_list(key: str, spec: str) -> List[int]:
+def _parties(spec: str) -> List[int]:
+    """The party counts of ``--parties``, a comma list; each must be at least 2."""
     try:
-        return [int(v) for v in spec.split(",")]
+        values = [int(v) for v in spec.split(",")]
     except ValueError:
-        raise _die_usage(f"--{key} must be a comma list of integers, got {spec}") from None
+        raise _die_usage(f"--parties must be a comma list of integers, got {spec}") from None
+    for n in values:
+        _require(n >= 2, "parties", "at least 2", spec if len(values) == 1 else f"{n} in {spec}")
+    return values
 
 
 def _eps(conf: Dict, key: str) -> LogEps:
@@ -220,8 +222,7 @@ def _resolve(args: argparse.Namespace, command: Command) -> Dict:
 
 
 def _search_config(resolved: Dict) -> SearchConfig:
-    if int(resolved["max-evals"]) < 1:
-        raise _die_usage(f"--max-evals must be at least 1, got {resolved['max-evals']}")
+    _require(int(resolved["max-evals"]) >= 1, "max-evals", "at least 1", resolved["max-evals"])
     return SearchConfig(max_evaluations=int(resolved["max-evals"]))
 
 
@@ -238,7 +239,7 @@ def cmd_asymptotic(conf: Dict) -> int:
     model = _model(conf["model"])
     grid = _qab(conf["qab"])
     rows = []
-    for parties in _parse_int_list("parties", conf["parties"]):
+    for parties in _parties(conf["parties"]):
         for p_ab in grid:
             scenario = NoiseScenario(model, nu=2.0 * p_ab, parties=parties)
             probs = marginal_probabilities(scenario)
@@ -277,7 +278,7 @@ def cmd_finite(conf: Dict) -> int:
     )
     round_counts = [_round_count("rounds", v) for v in grid]
     rows = []
-    for parties in _parse_int_list("parties", conf["parties"]):
+    for parties in _parties(conf["parties"]):
         scenario = NoiseScenario(_model(conf["model"]), nu=2.0 * q_ab, parties=parties)
         stats = expected_observed_stats(scenario)
         for total in round_counts:
@@ -327,7 +328,7 @@ def cmd_threshold(conf: Dict) -> int:
     l_max = _round_count("lmax", float(conf["lmax"]), int)
     grid = _qab(conf["qab"], open_ends=True)
     rows = []
-    for parties in _parse_int_list("parties", conf["parties"]):
+    for parties in _parties(conf["parties"]):
         for q_ab in grid:
             lbar = threshold_L(q_ab, parties, target, l_max=l_max, search_config=search)
             rows.append({"q_ab": q_ab, "parties": parties, "threshold_rounds": lbar})
@@ -349,9 +350,13 @@ THRESHOLD = (
 
 def cmd_simulate(conf: Dict) -> int:
     """Monte Carlo protocol rounds"""
-    scenario = NoiseScenario(_model(conf["model"]), nu=float(conf["noise"]), parties=int(conf["parties"]))
+    nu, parties, p = float(conf["noise"]), int(conf["parties"]), float(conf["p"])
+    _require(0.0 <= nu <= 1.0, "noise", "in [0, 1]", nu)
+    _require(parties >= 2, "parties", "at least 2", parties)
     rounds = _round_count("rounds", float(conf["rounds"]), int)
-    config = ProtocolConfig(Protocol(conf["protocol"]), int(conf["parties"]), rounds, float(conf["p"]))
+    _require(0.0 < p < 0.5, "p", "in (0, 0.5)", p)
+    scenario = NoiseScenario(_model(conf["model"]), nu=nu, parties=parties)
+    config = ProtocolConfig(Protocol(conf["protocol"]), parties, rounds, p)
     report = simulate_rounds(scenario, config, seed=int(conf["seed"]))
     rates = {"q_ab": report.q_ab, "q_x": report.q_x, "q_z": report.q_z}
     _write(conf, "report", {**asdict(report), **rates})
@@ -410,9 +415,11 @@ MARGINALS = (Option("tol", 1e-12, "tolerance", type=float), OUT)
 
 def cmd_sampling_lemma(conf: Dict) -> int:
     """sampling-lemma tail frequencies against their bounds"""
+    bits, sample = int(conf["bits"]), int(conf["sample"])
+    _require(1 <= sample < bits, "sample", f"at least 1 and below --bits ({bits})", sample)
     report = sampling_lemma_experiment(
-        int(conf["bits"]),
-        int(conf["sample"]),
+        bits,
+        sample,
         int(conf["weight"]),
         int(conf["trials"]),
         _eps(conf, "eps"),

@@ -395,6 +395,11 @@ def _pa_term(neg_rob: float, neg_pa: float) -> float:
     return -2.0 * (_log2_one_minus(neg_rob) + neg_pa - 1.0)
 
 
+def _ec_term(parties: int, neg_ec: float) -> float:
+    """The EC term -log2(2 (N-1) / eps_EC)."""
+    return -(1.0 + math.log2(parties - 1) + neg_ec)
+
+
 def _rob(neg_pe: float, parties: int) -> float:
     """eps_rob = 2 (N-1) eps_PE, as an exponent."""
     return neg_pe - math.log2(2.0 * (parties - 1))
@@ -415,7 +420,7 @@ def _length_tail(
     makes the PA term NaN; otherwise eps_rob >= 1 makes it -inf.
     """
     ec, pa = negs[-2:]
-    ec_log_term = -(1.0 + math.log2(parties - 1) + ec)
+    ec_log_term = _ec_term(parties, ec)
     neg_rob = _rob(neg_pe, parties)
     feasible = neg_rob > 0.0 and not math.isnan(min_entropy)
     if feasible:

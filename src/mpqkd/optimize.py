@@ -13,11 +13,11 @@ cost L h(p) moves, and it grows with p, so p sits at the left edge of its
 step (``_left_edge``) and the search runs over m, for six-state over m'
 with m = 2 m' (an odd m buys no X-parity round).  One damped Newton ascent
 (``_climb``) converges there from equal shares, or from a warm hint (the
-optimum at a nearby L; ``threshold_L`` passes the cached one nearest in
-log L).  The equal-shares point at p = 0.05 is always scored, so the rate
-never falls below it; a warm ascent that ends below it, or with no key
-length, runs again from equal shares.  Nothing is random.  Each point is
-scored on plain floats (``_scorer``) through the cores that
+optimum at a nearby L; ``threshold_L`` passes the previous optimum of the
+same protocol).  The equal-shares point at p = 0.05 is always scored, so
+the rate never falls below it; a warm ascent that ends below it, or with
+no key length, runs again from equal shares.  Nothing is random.  Each
+point is scored on plain floats (``_scorer``) through the cores that
 ``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as they
 would; the public objects are built once, for the point returned.
 
@@ -49,6 +49,7 @@ from .finite_key import (
     _check_stats,
     _clamp_half,
     _composer,
+    _ec_term,
     _length_core,
     _pa_term,
     _rob,
@@ -139,34 +140,20 @@ def allocate_budget(
     few ULPs if rounding ever pushed the composed total above the target;
     ValueError is raised if six passes still leave it above.
     """
-    negs, _, _ = _split(kind, parties, total_rounds, target.neg_log2, shares.weights)
+    negs, _, _ = _splitter(kind, parties, total_rounds, target.neg_log2)(shares.weights)
     return SecurityBudget(
         **{name: LogEps(neg) for name, neg in zip(budget_components(kind), negs)}
     )
 
 
-def _split(
-    kind: Protocol,
-    parties: int,
-    total_rounds: int,
-    target: float,
-    weights: Tuple[float, ...],
-) -> Tuple[List[float], float, float]:
-    """``allocate_budget`` on exponents: (component exponents, eps_PE, eps_tot).
-
-    The components come in ``budget_components(kind)`` order; eps_PE and
-    eps_tot are the exponents they compose to.
-    """
-    return _splitter(kind, parties, total_rounds, target)(weights)
-
-
 def _splitter(
     kind: Protocol, parties: int, total_rounds: int, target: float
 ) -> Callable[[Tuple[float, ...]], Tuple[List[float], float, float]]:
-    """``_split`` at one (kind, N, L, target), as a function of the weights.
+    """``allocate_budget`` on exponents, as a function of the weights: the
+    components in ``budget_components(kind)`` order, eps_PE and eps_tot.
 
-    What does not depend on the weights is computed once: the composition
-    (``_composer``) and the six-state inner exponent.
+    The composition (``_composer``) and the six-state inner exponent are
+    computed once.
     """
     bb84 = kind is Protocol.N_BB84
     composed = _composer(kind, parties, total_rounds)
@@ -194,7 +181,8 @@ def _splitter(
                 neg_inner - math.log2(w_ec),
                 neg_inner - math.log2(w_pa),
             ]
-        for _ in range(6):
+        # the split as made, then after each of up to 6 correction passes
+        for _ in range(7):
             neg_pe, neg_tot = composed(negs)
             deficit = target - neg_tot
             if deficit <= 0.0:
@@ -204,14 +192,10 @@ def _splitter(
             # with magnitude)
             bump = deficit + 4.0 * math.ulp(max(map(abs, negs)))
             negs = [v + c * bump for v, c in zip(negs, scale)]
-        neg_pe, neg_tot = composed(negs)
-        deficit = target - neg_tot
-        if deficit > 0.0:
-            raise ValueError(
-                f"composed eps_tot exceeds the target by {deficit:.3g} bits "
-                "after 6 correction passes"
-            )
-        return negs, neg_pe, neg_tot
+        raise ValueError(
+            f"composed eps_tot exceeds the target by {deficit:.3g} bits "
+            "after 6 correction passes"
+        )
 
     return split
 
@@ -229,7 +213,7 @@ def _floors(
 ) -> Tuple[List[float], float]:
     """Exponents that no budget split goes below: (components, eps_PE).
 
-    Every ``_split`` weight is at most 1.  So for N-BB84 eps_PE is at most
+    Every split weight is at most 1.  So for N-BB84 eps_PE is at most
     eps_tot / 2, eps_x at most eps_PE^2, eps_z at most eps_PE^2 / (N-1), and
     eps_EC and eps_PA at most eps_tot; for six-state each component and eps_PE
     are at most the inner sum eps_tot / (L+1)^(2^(2N)-1).
@@ -266,7 +250,7 @@ def _length_bound(
     """
     n_hi, n_lo = total_rounds - 2 * lo, total_rounds - 2 * hi
     ec, pa = negs[-2:]
-    fixed = -(1.0 + math.log2(parties - 1) + ec) + _pa_term(_rob(neg_pe, parties), pa)
+    fixed = _ec_term(parties, ec) + _pa_term(_rob(neg_pe, parties), pa)
     fixed -= total_rounds * binary_entropy(max(lo / total_rounds, p_min))
     if kind is Protocol.N_BB84:
         z, x = negs[:2]
@@ -560,24 +544,29 @@ def optimize_rate(
     noise = 2.0**-50 * total_rounds  # roundoff, in bits, of terms of about L bits
     # the search runs over k = m, or k = m' with m = 2 m' for six-state
     k_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max)) // m_min
-    points: List[Tuple[float, Tuple[float, ...], float]] = []  # (net length, weights, p)
+    # the equal-shares point at p = 0.05 (as exp(log 0.05)) is the floor
+    p0 = math.exp(math.log(min(max(0.05, p_min), p_max)))
+    equal = (1.0 / n_weights,) * n_weights
+    certified = _certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max)
+    floor = score(equal, p0)
+    # (net length, weights, p) of the best point so far, the first of equals
+    best, evaluations = (floor, equal, p0), 1
 
     def scored(weights: Tuple[float, ...], p: float) -> float:
+        nonlocal best, evaluations
         # past the cap, every point reads as one with no key length
-        if len(points) >= cfg.max_evaluations:
+        if evaluations >= cfg.max_evaluations:
             return -math.inf
-        points.append((score(weights, p), weights, p))
-        return points[-1][0]
+        evaluations += 1
+        value = score(weights, p)
+        if value > best[0]:
+            best = (value, weights, p)
+        return value
 
     def f(theta: List[float], k: int) -> float:
         weights = _expand(_softmax([*theta, 0.0]))
         return scored(weights, _left_edge(total_rounds, m_min * k))
 
-    # the equal-shares point at p = 0.05 (as exp(log 0.05)) is the floor
-    p0 = math.exp(math.log(min(max(0.05, p_min), p_max)))
-    equal = (1.0 / n_weights,) * n_weights
-    certified = _certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max)
-    floor = scored(equal, p0)
     # too few counts for a central difference in m: the floor alone
     if not certified and k_max >= 3:
         reached = -math.inf
@@ -592,13 +581,12 @@ def optimize_rate(
             k_cold = math.floor(total_rounds * p0) // m_min
             _climb(f, [_logits(equal), *heavy], k_cold, k_max, noise)
 
-    _, weights, p = max(points, key=lambda point: point[0])
+    _, weights, p = best
     shares = BudgetShares(p, weights)
     budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
     evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
     result = evaluator(ProtocolConfig(kind, parties, total_rounds, p), stats, budget)
-    rate = max(result.net_length / total_rounds, 0.0)
-    return OptimizedRate(rate=rate, shares=shares, result=result, evaluations=len(points))
+    return OptimizedRate(result.rate, shares, result, evaluations)
 
 
 def stats_from_qab_global(q_ab: float, parties: int) -> ObservedStats:
@@ -613,28 +601,14 @@ def stats_from_qab_global(q_ab: float, parties: int) -> ObservedStats:
     return expected_observed_stats(scenario)
 
 
-def _bisect_crossing(
-    crossed: Callable[[int], bool], lo: int, hi: int, rel_tol: float = 1e-2
-) -> int:
-    """Geometric bisection for the first crossed L in (lo, hi], hi crossed."""
-    while hi > lo * (1.0 + rel_tol):
-        mid = int(round(math.sqrt(float(lo) * float(hi))))
-        if mid <= lo or mid >= hi:
-            break
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _threshold_from_curve(
     crossed: Callable[[int], bool], l_min: int, l_max: int
 ) -> Optional[int]:
     """First verified L with crossed(L), scanning a factor-2 grid.
 
-    A candidate found by bisection is verified at 2L and 4L; on verification
-    failure the scan resumes past the point where the ordering broke.
+    A candidate found by geometric bisection (to a bracket 1% wide) is
+    verified at 2L and 4L; the scan resumes past the first of them that is
+    not crossed.
     """
     prev: Optional[int] = None
     scan = l_min
@@ -645,19 +619,26 @@ def _threshold_from_curve(
             continue
         if prev is None:
             # crossing already at the scan start: walk down for a bracket
-            lo = scan // 2
-            while lo >= 8 and crossed(lo):
-                scan, lo = lo, lo // 2
-            if lo < 8:
+            prev = scan // 2
+            while prev >= 8 and crossed(prev):
+                scan, prev = prev, prev // 2
+            if prev < 8:
                 return scan
-            prev = lo
-        candidate = _bisect_crossing(crossed, prev, scan)
-        if crossed(2 * candidate) and crossed(4 * candidate):
-            return candidate
-        if not crossed(2 * candidate):
-            prev, scan = 2 * candidate, 4 * candidate
+        lo, hi = prev, scan
+        while hi > lo * 1.01:
+            mid = int(round(math.sqrt(float(lo) * float(hi))))
+            if mid <= lo or mid >= hi:
+                break
+            if crossed(mid):
+                hi = mid
+            else:
+                lo = mid
+        for check in (2 * hi, 4 * hi):
+            if not crossed(check):
+                prev, scan = check, 2 * check
+                break
         else:
-            prev, scan = 4 * candidate, 8 * candidate
+            return hi
     return None
 
 
@@ -678,35 +659,29 @@ def threshold_L(
     below ``l_max``.  Frequencies are derived from Q_AB via the
     global-depolarizing relations.
 
-    Each (protocol, L) is optimized once, and the N-BB84 optimum only where
-    the six-state rate is positive.  The first optimum of each protocol
-    starts from equal shares; every later one is warm-started
-    (``optimize_rate``'s ``warm``) from the cached optimum of the same
-    protocol nearest in |log L|, the smaller L on a tie, since the optimal
-    shares and log p move smoothly with log L.
+    One verdict per L: each L's rates are optimized once, and the N-BB84
+    optimum only where the six-state rate is positive.  The first optimum
+    of each protocol starts from equal shares; every later one is
+    warm-started (``optimize_rate``'s ``warm``) from the previous optimum of
+    the same protocol, since the optimal shares and log p move smoothly
+    with log L.
     """
     stats = stats_from_qab_global(q_ab, parties)
-    cache: Dict[Tuple[Protocol, int], OptimizedRate] = {}
+    warm: Dict[Protocol, BudgetShares] = {}
+    verdicts: Dict[int, bool] = {}
 
     def rate(kind: Protocol, total_rounds: int) -> float:
-        if (kind, total_rounds) not in cache:
-            # start from the same protocol's optimum nearest in |log L|, the
-            # smaller L on a tie (int / int rounds correctly, so equal ratios
-            # give equal keys)
-            nearest = min(
-                (L for k, L in cache if k is kind),
-                key=lambda L: (max(L, total_rounds) / min(L, total_rounds), L),
-                default=None,
-            )
-            warm = None if nearest is None else cache[kind, nearest].shares
-            cache[kind, total_rounds] = optimize_rate(
-                kind, parties, total_rounds, stats, eps_tot_target, search_config, warm=warm
-            )
-        return cache[kind, total_rounds].rate
+        opt = optimize_rate(
+            kind, parties, total_rounds, stats, eps_tot_target, search_config, warm=warm.get(kind)
+        )
+        warm[kind] = opt.shares
+        return opt.rate
 
     def crossed(total_rounds: int) -> bool:
-        # a zero six-state rate settles the verdict without the N-BB84 optimum
-        r6 = rate(Protocol.N_SIX_STATE, total_rounds)
-        return r6 > 0.0 and 0.0 < rate(Protocol.N_BB84, total_rounds) <= r6
+        if total_rounds not in verdicts:
+            # a zero six-state rate settles the verdict without the N-BB84 optimum
+            r6 = rate(Protocol.N_SIX_STATE, total_rounds)
+            verdicts[total_rounds] = r6 > 0.0 and 0.0 < rate(Protocol.N_BB84, total_rounds) <= r6
+        return verdicts[total_rounds]
 
     return _threshold_from_curve(crossed, l_min, l_max)

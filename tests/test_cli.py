@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import mpqkd.cli as cli
 from mpqkd.cli import main
 
 
@@ -493,6 +494,43 @@ def test_qab_range_ends_still_run(capsys, argv):
     ],
 )
 def test_bad_grid_list_or_epsilon_names_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--p", "0.7"], "--p must be in (0, 0.5), got 0.7"),
+        (["simulate", "--noise", "2"], "--noise must be in [0, 1], got 2.0"),
+        (
+            ["validate", "sampling-lemma", "--sample", "5000"],
+            "--sample must be at least 1 and below --bits (2000), got 5000",
+        ),
+        (["finite", "--parties", "1"], "--parties must be at least 2, got 1"),
+        (["finite", "--parties", "2,1"], "--parties must be at least 2, got 1 in 2,1"),
+        (["asymptotic", "--parties", "1"], "--parties must be at least 2, got 1"),
+        (["threshold", "--parties", "1"], "--parties must be at least 2, got 1"),
+        (["simulate", "--parties", "1"], "--parties must be at least 2, got 1"),
+    ],
+)
+def test_out_of_range_value_names_the_flag_before_computing(monkeypatch, capsys, argv, message):
+    # ``--parties 2,1`` must fail before the N = 2 rows are computed
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the flags were checked")
+
+    for name in (
+        "marginal_probabilities",
+        "optimize_rate",
+        "threshold_L",
+        "simulate_rounds",
+        "sampling_lemma_experiment",
+    ):
+        monkeypatch.setattr(cli, name, computed)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -84,7 +83,10 @@ class TestAllocateBudget:
         # a composition stuck one bit above the target defeats every pass;
         # the correction passes compose through the (eps_PE, eps_tot) core
         # that _composer binds
+        calls = []
+
         def stuck(negs):
+            calls.append(negs)
             return TARGET.neg_log2, TARGET.neg_log2 - 1.0
 
         monkeypatch.setattr(optimize, "_composer", lambda *args: stuck)
@@ -92,6 +94,7 @@ class TestAllocateBudget:
         shares = BudgetShares(0.05, tuple([1.0 / k] * k))
         with pytest.raises(ValueError, match="exceeds the target by 1 bits"):
             allocate_budget(kind, 3, 10**6, TARGET, shares)
+        assert len(calls) == 7  # the split as made and after each of 6 passes
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -326,6 +329,11 @@ class TestReplayReferee:
         assert all(same_value(a, b) for a, b in pairs), pairs
 
 
+def spurious(L):
+    # crossed only on [1e4, 2e4), then again for good at 1e6
+    return (10**4 <= L < 2 * 10**4) or L >= 10**6
+
+
 class TestThresholdFromCurve:
     def test_simple_step(self):
         lbar = _threshold_from_curve(lambda L: L >= 5000, 64, 10**9)
@@ -341,13 +349,45 @@ class TestThresholdFromCurve:
         assert 100 <= lbar <= 101
 
     def test_spurious_crossing_skipped(self):
-        # crossed only on [1e4, 2e4), then again for good at 1e6
-        def crossed(L):
-            return (10**4 <= L < 2 * 10**4) or L >= 10**6
-
-        lbar = _threshold_from_curve(crossed, 64, 10**9)
+        lbar = _threshold_from_curve(spurious, 64, 10**9)
         assert lbar is not None
         assert 10**6 <= lbar <= int(1.01 * 10**6) + 1
+
+    @pytest.mark.parametrize(
+        "crossed, l_min, probes",
+        [
+            (
+                lambda L: L >= 5000,
+                64,
+                [64, 128, 256, 512, 1024, 2048, 4096, 8192, 5793, 4871, 5312, 5087, 4978]
+                + [5032, 5005, 10010, 20020],
+            ),
+            (lambda L: False, 64, [64 * 2**i for i in range(24)]),
+            (
+                lambda L: L >= 100,
+                1024,
+                [1024, 512, 256, 128, 64, 91, 108, 99, 103, 101, 100, 200, 400],
+            ),
+            (
+                # 20018 = 2 * 10009 fails verification, and the scan resumes at 40036
+                spurious,
+                64,
+                [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 11585, 9742, 10624, 10173]
+                + [9955, 10063, 10009, 20018, 40036, 80072, 160144, 320288, 640576, 1281152]
+                + [905911, 1077316, 987903, 1031641, 1009535, 998660, 1004083, 2008166, 4016332],
+            ),
+        ],
+        ids=["step", "never", "crossed-from-start", "spurious"],
+    )
+    def test_probe_sequence(self, crossed, l_min, probes):
+        asked = []
+
+        def recorded(L):
+            asked.append(L)
+            return crossed(L)
+
+        _threshold_from_curve(recorded, l_min, 10**9)
+        assert asked == probes
 
 
 class TestThresholdL:
@@ -355,52 +395,54 @@ class TestThresholdL:
         assert threshold_L(0.05, 2, TARGET, l_max=4096, search_config=FAST) is None
 
     def test_nbb84_optimized_only_where_six_state_is_positive(self, monkeypatch):
-        # synthetic optima: six-state is zero below 2^14 and overtakes a flat
-        # N-BB84 rate of 0.45 at L = 163840
-        def six(total):
-            return max(0.0, 0.5 * (1.0 - 2**14 / total))
-
+        # synthetic optima against a flat N-BB84 rate of 0.45 from L = 2^8
         def bb84(total):
-            return 0.45 if total >= 2**11 else 0.0
+            return 0.45 if total >= 2**8 else 0.0
 
-        calls = []
-        hints = []
+        curves = [
+            # six-state is zero below 2^14 and overtakes N-BB84 at L = 163840
+            (lambda total: max(0.0, 0.5 * (1.0 - 2**14 / total)), 163840),
+            # six-state is positive, and ahead, where ``spurious`` is crossed
+            (lambda total: 0.5 if spurious(total) else 0.0, 10**6),
+            # crossed from 2^9, below the scan start, so verifying 512 asks
+            # for the verdict at 1024 a second time
+            (lambda total: 0.5 if total >= 2**9 else 0.0, 512),
+        ]
+        for six, step in curves:
+            calls = []
+            hints = []
 
-        def fake_optimize_rate(kind, parties, total, stats, target, config, *, warm=None):
-            calls.append((kind, total))
-            hints.append(warm)
-            rate = six(total) if kind is Protocol.N_SIX_STATE else bb84(total)
-            # the shares stand for the optimum they came from
-            return SimpleNamespace(rate=rate, shares=(kind, total))
+            def fake_optimize_rate(kind, parties, total, stats, target, config, *, warm=None):
+                calls.append((kind, total))
+                hints.append(warm)
+                rate = six(total) if kind is Protocol.N_SIX_STATE else bb84(total)
+                # the shares stand for the optimum they came from
+                return SimpleNamespace(rate=rate, shares=(kind, total))
 
-        monkeypatch.setattr(optimize, "optimize_rate", fake_optimize_rate)
-        lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
+            monkeypatch.setattr(optimize, "optimize_rate", fake_optimize_rate)
+            lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
 
-        probed = []
+            probed = []
 
-        def eager(total):
-            probed.append(total)
-            return six(total) > 0.0 and bb84(total) > 0.0 and six(total) >= bb84(total)
+            def eager(total):
+                probed.append(total)
+                return six(total) > 0.0 and bb84(total) > 0.0 and six(total) >= bb84(total)
 
-        assert lbar == _threshold_from_curve(eager, 1024, 10**14)
-        assert 163840 <= lbar <= 1.01 * 163840
-        assert len(calls) == len(set(calls))  # each (protocol, L) optimized once
-        six_probed = [t for kind, t in calls if kind is Protocol.N_SIX_STATE]
-        bb84_probed = [t for kind, t in calls if kind is Protocol.N_BB84]
-        assert set(six_probed) == set(probed)
-        assert set(bb84_probed) == {t for t in probed if six(t) > 0.0}
-        assert len(bb84_probed) < len(six_probed)
+            assert lbar == _threshold_from_curve(eager, 1024, 10**14)
+            assert step <= lbar <= 1.01 * step
+            assert len(calls) == len(set(calls))  # each (protocol, L) optimized once
+            six_probed = [t for kind, t in calls if kind is Protocol.N_SIX_STATE]
+            bb84_probed = [t for kind, t in calls if kind is Protocol.N_BB84]
+            assert set(six_probed) == set(probed)
+            assert set(bb84_probed) == {t for t in probed if six(t) > 0.0}
+            assert len(bb84_probed) < len(six_probed)
 
-        # every optimum after the first of a protocol starts from the cached
-        # optimum of that protocol nearest in |log L|, the smaller L on a tie
-        for i, ((kind, total), warm) in enumerate(zip(calls, hints)):
-            earlier = [t for k, t in calls[:i] if k is kind]
-            if not earlier:
-                assert warm is None
-                continue
-            nearest = min(earlier, key=lambda t: (Fraction(max(t, total), min(t, total)), t))
-            assert warm == (kind, nearest), (kind, total)
-        assert hints.count(None) == 2
+            # every optimum after the first of a protocol starts from the
+            # previous optimum of that protocol
+            for i, ((kind, total), warm) in enumerate(zip(calls, hints)):
+                earlier = [call for call in calls[:i] if call[0] is kind]
+                assert warm == (earlier[-1] if earlier else None), (step, kind, total)
+            assert hints.count(None) == 2
 
     def test_deterministic(self, monkeypatch):
         inner = optimize.optimize_rate

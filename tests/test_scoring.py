@@ -167,7 +167,7 @@ class TestCompositions:
 
     @pytest.mark.parametrize("kind", list(Protocol))
     def test_equal_the_pairwise_sums_on_split_exponents(self, kind):
-        # exponents as _split makes them: nearly equal, far above 1e3 for
+        # exponents as _splitter makes them: nearly equal, far above 1e3 for
         # six-state, where a ULP of roundoff decides the correction passes
         rng = np.random.default_rng(5)
         k = 4 if kind is Protocol.N_BB84 else 6
@@ -188,7 +188,7 @@ class TestScoresAreFresh:
 
     The scorer sees each point's weights and p, and the key-length core sees
     the p and exponents the scorer handed it; both are compared with that
-    point's p and with ``_split`` computed afresh at its weights.
+    point's p and with ``_splitter`` computed afresh at its weights.
     """
 
     @pytest.mark.parametrize("kind", list(Protocol))
@@ -217,9 +217,9 @@ class TestScoresAreFresh:
                 got = core(p, stats_, negs, neg_pe)
                 if not point:
                     return got  # the zero-rate certificate, before any point
-                fresh_negs, fresh_pe, _ = optimize._split(
-                    kind, parties, total_rounds, target, point["weights"]
-                )
+                fresh_negs, fresh_pe, _ = optimize._splitter(
+                    kind, parties, total_rounds, target
+                )(point["weights"])
                 assert bits([p]) == bits([point["p"]])
                 assert bits([*negs, neg_pe]) == bits([*fresh_negs, fresh_pe])
                 fresh = core(point["p"], stats_, fresh_negs, fresh_pe)
@@ -270,7 +270,7 @@ class TestWithinOneStepOfM:
             return  # past 1/2, where h(p) falls; no config or optimum has such a p
         stats = stats_from_qab_global(q_ab, parties)
         weights = log_uniform_shares(kind, 0.1, log_weights).weights
-        negs, neg_pe, _ = optimize._split(kind, parties, total_rounds, target_neg, weights)
+        negs, neg_pe, _ = optimize._splitter(kind, parties, total_rounds, target_neg)(weights)
         core = _length_core(kind, parties, total_rounds)
         first = core(p1, stats, negs, neg_pe)
         second = core(p2, stats, negs, neg_pe)

@@ -75,7 +75,8 @@ class TestBound:
     ):
         total_rounds = int(round(10.0**log10_rounds))
         shares = log_uniform_shares(kind, 0.1, log_weights)
-        negs, neg_pe, _ = optimize._split(kind, parties, total_rounds, target_neg, shares.weights)
+        split = optimize._splitter(kind, parties, total_rounds, target_neg)
+        negs, neg_pe, _ = split(shares.weights)
         floors, floor_pe = optimize._floors(kind, parties, total_rounds, target_neg)
         # eps_PE is composed, so it may sit a few ULPs below its floor
         assert neg_pe >= floor_pe - 8.0 * math.ulp(floor_pe)
@@ -91,7 +92,7 @@ class TestBound:
         pair = (0, 1) if kind is Protocol.N_BB84 else (2, 3)
         for i in pair:
             weights[i] = 0.5 - (k - 2) * 5e-13
-        negs, neg_pe, _ = optimize._split(kind, parties, 10**9, TARGET.neg_log2, tuple(weights))
+        negs, neg_pe, _ = optimize._splitter(kind, parties, 10**9, TARGET.neg_log2)(tuple(weights))
         floors, floor_pe = optimize._floors(kind, parties, 10**9, TARGET.neg_log2)
         assert neg_pe == pytest.approx(floor_pe, abs=1e-9, rel=1e-15)
 
@@ -130,8 +131,8 @@ class TestBound:
         p = math.exp(lp_lo + u_p * (lp_hi - lp_lo))
         shares = log_uniform_shares(kind, p, log_weights)
         stats = stats_from_qab_global(q_ab, parties)
-        negs, neg_pe, _ = optimize._split(
-            kind, parties, total_rounds, target_neg, shares.weights
+        negs, neg_pe, _ = optimize._splitter(kind, parties, total_rounds, target_neg)(
+            shares.weights
         )
         net = core_net(kind, parties, total_rounds, p, stats, negs, neg_pe)
 
