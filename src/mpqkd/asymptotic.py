@@ -54,7 +54,9 @@ def find_rate_root(
 ) -> float:
     """Bisection root of a rate curve on [lo, hi], to absolute tolerance.
 
-    Requires a sign change: rate(lo) > 0 > rate(hi).
+    Requires a sign change: rate(lo) > 0 > rate(hi).  Stops early once the
+    midpoint rounds to an end of the bracket, so a ``tol`` below the float
+    spacing there returns an end of a bracket of adjacent floats.
     """
     f_lo = rate_curve(lo)
     f_hi = rate_curve(hi)
@@ -64,6 +66,8 @@ def find_rate_root(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if rate_curve(mid) > 0.0:
             lo = mid
         else:

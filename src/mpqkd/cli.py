@@ -64,6 +64,13 @@ def _require(ok: bool, key: str, bounds: str, shown: object) -> None:
         raise _die_usage(f"--{key} must be {bounds}, got {shown}")
 
 
+def _int_at_least(conf: Dict, key: str, low: int) -> int:
+    """The integer of ``--key``, which must be at least ``low``."""
+    value = int(conf[key])
+    _require(value >= low, key, f"at least {low}", value)
+    return value
+
+
 def _round_count(key: str, value: float, convert: Callable[[float], int] = round) -> int:
     """``value`` made a round count by ``convert``; it must be finite and at least 1."""
     _require(math.isfinite(value), key, "finite", value)
@@ -222,8 +229,7 @@ def _resolve(args: argparse.Namespace, command: Command) -> Dict:
 
 
 def _search_config(resolved: Dict) -> SearchConfig:
-    _require(int(resolved["max-evals"]) >= 1, "max-evals", "at least 1", resolved["max-evals"])
-    return SearchConfig(max_evaluations=int(resolved["max-evals"]))
+    return SearchConfig(max_evaluations=_int_at_least(resolved, "max-evals", 1))
 
 
 OUT = Option("out", None, "output path (default: stdout)")
@@ -350,14 +356,15 @@ THRESHOLD = (
 
 def cmd_simulate(conf: Dict) -> int:
     """Monte Carlo protocol rounds"""
-    nu, parties, p = float(conf["noise"]), int(conf["parties"]), float(conf["p"])
+    nu, p = float(conf["noise"]), float(conf["p"])
     _require(0.0 <= nu <= 1.0, "noise", "in [0, 1]", nu)
-    _require(parties >= 2, "parties", "at least 2", parties)
+    parties = _int_at_least(conf, "parties", 2)
     rounds = _round_count("rounds", float(conf["rounds"]), int)
     _require(0.0 < p < 0.5, "p", "in (0, 0.5)", p)
+    seed = _int_at_least(conf, "seed", 0)
     scenario = NoiseScenario(_model(conf["model"]), nu=nu, parties=parties)
     config = ProtocolConfig(Protocol(conf["protocol"]), parties, rounds, p)
-    report = simulate_rounds(scenario, config, seed=int(conf["seed"]))
+    report = simulate_rounds(scenario, config, seed=seed)
     rates = {"q_ab": report.q_ab, "q_x": report.q_x, "q_z": report.q_z}
     _write(conf, "report", {**asdict(report), **rates})
     return 0
@@ -415,16 +422,12 @@ MARGINALS = (Option("tol", 1e-12, "tolerance", type=float), OUT)
 
 def cmd_sampling_lemma(conf: Dict) -> int:
     """sampling-lemma tail frequencies against their bounds"""
-    bits, sample = int(conf["bits"]), int(conf["sample"])
+    bits, sample, weight = int(conf["bits"]), int(conf["sample"]), int(conf["weight"])
     _require(1 <= sample < bits, "sample", f"at least 1 and below --bits ({bits})", sample)
-    report = sampling_lemma_experiment(
-        bits,
-        sample,
-        int(conf["weight"]),
-        int(conf["trials"]),
-        _eps(conf, "eps"),
-        int(conf["seed"]),
-    )
+    _require(0 <= weight <= bits, "weight", f"in [0, --bits ({bits})]", weight)
+    eps = _eps(conf, "eps")
+    trials, seed = _int_at_least(conf, "trials", 1), _int_at_least(conf, "seed", 0)
+    report = sampling_lemma_experiment(bits, sample, weight, trials, eps, seed)
     trials = report.trials
     checks = {
         "two_sided": (report.freq_two_sided, report.bound_two_sided),
@@ -458,16 +461,15 @@ SAMPLING_LEMMA = (
 
 def cmd_ec_toy(conf: Dict) -> int:
     """toy error-correction failure rate against eps_EC"""
+    parties = _int_at_least(conf, "parties", 2)
+    key_bits, q, radius = int(conf["key-bits"]), float(conf["q"]), int(conf["radius"])
+    # the library enumerates every key of --key-bits bits
+    _require(key_bits <= 20, "key-bits", "at most 20", key_bits)
+    _require(0.0 <= q <= 0.5, "q", "in [0, 0.5]", q)
     eps_ec = _eps(conf, "eps-ec")
-    report = ec_toy_run(
-        int(conf["parties"]),
-        int(conf["key-bits"]),
-        float(conf["q"]),
-        eps_ec,
-        int(conf["radius"]),
-        int(conf["trials"]),
-        int(conf["seed"]),
-    )
+    _require(0 <= radius <= key_bits, "radius", f"in [0, --key-bits ({key_bits})]", radius)
+    trials, seed = _int_at_least(conf, "trials", 1), _int_at_least(conf, "seed", 0)
+    report = ec_toy_run(parties, key_bits, q, eps_ec, radius, trials, seed)
     limit = eps_ec.eps + 3.0 * _sigma(eps_ec.eps, report.trials)
     ok = report.failure_freq <= limit
     _write(

@@ -25,6 +25,13 @@ rate optimizer scores each candidate point through these cores alone.  The
 public functions validate their arguments, call the same cores and wrap the
 results in ``LogEps``, ``KeyLengthResult`` and friends, so objects are built
 only for the points a caller asks about.
+
+``_certified_zero`` proves, where it can, that no budget split and no p has
+a positive net length.  No split puts an exponent below its floor
+(``_floors``), and every term grows as an exponent falls, so the terms at
+the floors, each at its worst end of an interval of m = floor(L p), bound
+the net length there (``_length_bound``); bisection over m covers p with no
+grid.  At small L this proves most zero-rate optima.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .noise import MarginalProbabilities, ObservedStats
-from .numerics import LogEps, _eta, _log2_one_minus, _log_sum, _xi, binary_entropy, xlog2x
+from .numerics import _LN2, LogEps, _eta, _log2_one_minus, _log_sum, _xi, binary_entropy, xlog2x
 
 __all__ = [
     "Protocol",
@@ -433,16 +440,20 @@ def _length_tail(
     return terms, raw, raw - preshared, feasible, witness
 
 
+def _nbb84_entropies(stats: ObservedStats, xi_x: float, xi_z: float) -> Tuple[float, float]:
+    """h(Q_X + 2 xi_x) and max_i h(Q_AB,i + 2 xi_z), arguments clamped to [0, 1/2]."""
+    h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * xi_x))
+    h_ab = max(binary_entropy(_clamp_half(q + 2.0 * xi_z)) for q in stats.q_ab)
+    return h_x, h_ab
+
+
 def _nbb84_length(
     parties: int, total_rounds: int, p: float, stats: ObservedStats, negs, neg_pe: float
 ) -> _Length:
     z, x, _, _ = negs
     m, n, _ = _counts(Protocol.N_BB84, total_rounds, p)
     preshared = total_rounds * binary_entropy(p)
-    xi_x = _xi(x, n, m)
-    xi_z = _xi(z, n, m)
-    h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * xi_x))
-    h_ab = max(binary_entropy(_clamp_half(q + 2.0 * xi_z)) for q in stats.q_ab)
+    h_x, h_ab = _nbb84_entropies(stats, _xi(x, n, m), _xi(z, n, m))
     return _length_tail(parties, negs, neg_pe, n * (1.0 - h_x), -n * h_ab, 0.0, preshared, None)
 
 
@@ -473,6 +484,126 @@ def _length_core(kind: Protocol, parties: int, total_rounds: int) -> Callable[..
         return partial(_nbb84_length, parties, total_rounds)
     ps_penalty = -2.0 * postselection_bits(parties, total_rounds)
     return partial(_nsixstate_length, parties, ps_penalty, total_rounds)
+
+
+# a zero rate is certified when the bound stays this many bits per round below
+# 0, far above the roundoff of any length term (each is at most a few bits
+# per round wherever the net length is near 0)
+_ZERO_SLACK = 1e-9
+# the interval split at which the certificate gives up and certifies nothing
+_ZERO_MAX_SPLITS = 200
+
+
+def _floors(
+    kind: Protocol, parties: int, total_rounds: int, target: float
+) -> Tuple[List[float], float]:
+    """Exponents that no budget split goes below: (components, eps_PE).
+
+    Every split weight is at most 1.  So for N-BB84 eps_PE is at most
+    eps_tot / 2, eps_x at most eps_PE^2, eps_z at most eps_PE^2 / (N-1), and
+    eps_EC and eps_PA at most eps_tot; for six-state each component and eps_PE
+    are at most the inner sum eps_tot / (L+1)^(2^(2N)-1).
+    """
+    if kind is Protocol.N_BB84:
+        neg_pe = target + 1.0
+        return [2.0 * neg_pe + math.log2(parties - 1), 2.0 * neg_pe, target, target], neg_pe
+    neg_inner = target + postselection_bits(parties, total_rounds)
+    return [neg_inner] * 6, neg_inner
+
+
+def _length_bound(
+    kind: Protocol,
+    parties: int,
+    total_rounds: int,
+    stats: ObservedStats,
+    negs: List[float],
+    neg_pe: float,
+    p_min: float,
+    lo: int,
+    hi: int,
+) -> Optional[float]:
+    """Upper bound on the net length at the floor exponents over m in [lo, hi].
+
+    Every term of the key-length cores grows (or stays) as an exponent falls
+    to its floor, and here each factor also takes its own worst end of the
+    interval: n = L - 2m is largest at lo; eta falls as m grows, so the
+    Gamma_PE box is smallest at hi; xi^2 is (L-m)/(L-2m) * (m+1)/m^2 times a
+    constant, and the first factor grows while the second falls; the
+    preshared cost L h(p) is smallest at p = max(lo / L, p_min).  A per-round
+    bracket takes the n that makes its product largest (the smallest n when
+    it is negative), and the sqrt(n) penalties the smallest n.  None when
+    the floor box is empty.
+    """
+    n_hi, n_lo = total_rounds - 2 * lo, total_rounds - 2 * hi
+    ec, pa = negs[-2:]
+    fixed = _ec_term(parties, ec) + _pa_term(_rob(neg_pe, parties), pa)
+    fixed -= total_rounds * binary_entropy(max(lo / total_rounds, p_min))
+    if kind is Protocol.N_BB84:
+        z, x = negs[:2]
+        coeff = (total_rounds - lo) / n_hi * (hi + 1) / (8.0 * hi * hi) * _LN2
+        h_x, h_ab = _nbb84_entropies(stats, math.sqrt(coeff * x), math.sqrt(coeff * z))
+        bracket, penalty = 1.0 - h_x - h_ab, 0.0
+    else:
+        bar, z, x, zp = negs[:4]
+        corner = _gamma_corner(stats, z, x, zp, hi, hi // 2)
+        if corner is None:
+            return None
+        bracket = corner[0] - corner[1]
+        penalty = math.sqrt(n_lo) * (
+            5.0 * math.sqrt(bar) + math.log2(5.0) * math.sqrt(2.0 * (neg_pe - 1.0))
+        )
+        fixed -= 2.0 * postselection_bits(parties, total_rounds)
+    return (n_hi if bracket > 0.0 else n_lo) * bracket - penalty + fixed
+
+
+def _certified_zero(
+    kind: Protocol,
+    parties: int,
+    total_rounds: int,
+    stats: ObservedStats,
+    target: float,
+    p_min: float,
+    p_max: float,
+) -> bool:
+    """True when no budget split and no p in [p_min, p_max] has a positive net length.
+
+    Depth-first bisection over intervals of m = floor(L p) with
+    ``_length_bound``: an interval is settled once its bound is
+    ``_ZERO_SLACK`` bits per round below 0, and split at the geometric mean
+    of its ends otherwise.  The bounds alone fix which intervals are split,
+    so the verdict does not depend on the order they are visited in.
+    Nothing is certified for a target exponent that is negative or not
+    finite, when the floor point is vacuous (eps_rob >= 1) or its box is
+    empty, when the core at the floor exponents comes within the slack of 0
+    at a concrete p (one per unsettled interval), when an interval of one m
+    stays unsettled, or at the ``_ZERO_MAX_SPLITS``-th split.
+    """
+    if not 0.0 <= target < math.inf:
+        return False
+    negs, neg_pe = _floors(kind, parties, total_rounds, target)
+    if _rob(neg_pe, parties) <= 0.0:
+        return False
+    length = _length_core(kind, parties, total_rounds)
+    slack = _ZERO_SLACK * total_rounds
+    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
+    # p >= p_min gives m >= m_min; n >= 1 and p <= p_max (up to exp/log
+    # roundoff) cap m from above
+    m_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max) + 1)
+    stack, splits = [(m_min, m_max)], 0
+    while stack:
+        lo, hi = stack.pop()
+        bound = _length_bound(kind, parties, total_rounds, stats, negs, neg_pe, p_min, lo, hi)
+        if bound is None:
+            return False
+        if bound < -slack:
+            continue
+        mid = math.isqrt(lo * hi)
+        p = min(max((mid + 0.5) / total_rounds, p_min), p_max)
+        splits += 1
+        if length(p, stats, negs, neg_pe)[2] >= -slack or lo == hi or splits == _ZERO_MAX_SPLITS:
+            return False
+        stack += [(mid + 1, hi), (lo, mid)]
+    return True
 
 
 def _key_length(

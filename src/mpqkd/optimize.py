@@ -21,20 +21,12 @@ point is scored on plain floats (``_scorer``) through the cores that
 ``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as they
 would; the public objects are built once, for the point returned.
 
-Before searching, a certificate (``_certified_zero``) tries to prove that no
-point has a positive net length.  Each component exponent has a floor that
-no split goes below (``_floors``), and every key-length term grows as an
-exponent falls to its floor; so the cores at the floors bound the net length
-from above for any split.  Branch and bound over intervals of m = floor(L p)
-makes that bound rigorous in p, with no grid.  Where it holds, the rate is 0
-and the search is skipped: the equal-shares start is scored alone.  At small
-L, where the postselection factor and the finite-size corrections eat the
-whole key, this is most zero-rate optima.
+Before searching, ``finite_key._certified_zero`` may prove a zero rate;
+then the equal-shares start is scored alone.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -45,21 +37,17 @@ from .finite_key import (
     Protocol,
     ProtocolConfig,
     SecurityBudget,
-    _box_corner,
+    _certified_zero,
     _check_stats,
-    _clamp_half,
     _composer,
-    _ec_term,
     _length_core,
-    _pa_term,
-    _rob,
     budget_components,
     key_length_nbb84,
     key_length_nsixstate,
     postselection_bits,
 )
 from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
-from .numerics import _LN2, LogEps, _dot, _eigh, _eta, _times, binary_entropy
+from .numerics import LogEps, _dot, _eigh, _times
 
 __all__ = [
     "BudgetShares",
@@ -198,134 +186,6 @@ def _splitter(
         )
 
     return split
-
-
-# a zero rate is certified when the bound stays this many bits per round below
-# 0, far above the roundoff of any length term (each is at most a few bits
-# per round wherever the net length is near 0)
-_ZERO_SLACK = 1e-9
-# interval splits the certificate makes before it gives up and certifies nothing
-_ZERO_MAX_SPLITS = 200
-
-
-def _floors(
-    kind: Protocol, parties: int, total_rounds: int, target: float
-) -> Tuple[List[float], float]:
-    """Exponents that no budget split goes below: (components, eps_PE).
-
-    Every split weight is at most 1.  So for N-BB84 eps_PE is at most
-    eps_tot / 2, eps_x at most eps_PE^2, eps_z at most eps_PE^2 / (N-1), and
-    eps_EC and eps_PA at most eps_tot; for six-state each component and eps_PE
-    are at most the inner sum eps_tot / (L+1)^(2^(2N)-1).
-    """
-    if kind is Protocol.N_BB84:
-        neg_pe = target + 1.0
-        return [2.0 * neg_pe + math.log2(parties - 1), 2.0 * neg_pe, target, target], neg_pe
-    neg_inner = target + postselection_bits(parties, total_rounds)
-    return [neg_inner] * 6, neg_inner
-
-
-def _length_bound(
-    kind: Protocol,
-    parties: int,
-    total_rounds: int,
-    stats: ObservedStats,
-    negs: List[float],
-    neg_pe: float,
-    p_min: float,
-    lo: int,
-    hi: int,
-) -> Optional[float]:
-    """Upper bound on the net length at the floor exponents over m in [lo, hi].
-
-    Every term of the key-length cores grows (or stays) as an exponent falls
-    to its floor, and here each factor also takes its own worst end of the
-    interval: n = L - 2m is largest at lo; eta falls as m grows, so the
-    Gamma_PE box is smallest at hi; xi^2 is (L-m)/(L-2m) * (m+1)/m^2 times a
-    constant, and the first factor grows while the second falls; the
-    preshared cost L h(p) is smallest at p = max(lo / L, p_min).  A per-round
-    bracket takes the n that makes its product largest (the smallest n when
-    it is negative), and the sqrt(n) penalties the smallest n.  None when
-    the floor box is empty.
-    """
-    n_hi, n_lo = total_rounds - 2 * lo, total_rounds - 2 * hi
-    ec, pa = negs[-2:]
-    fixed = _ec_term(parties, ec) + _pa_term(_rob(neg_pe, parties), pa)
-    fixed -= total_rounds * binary_entropy(max(lo / total_rounds, p_min))
-    if kind is Protocol.N_BB84:
-        z, x = negs[:2]
-        coeff = (total_rounds - lo) / n_hi * (hi + 1) / (8.0 * hi * hi) * _LN2
-        h_x = binary_entropy(_clamp_half(stats.q_x + 2.0 * math.sqrt(coeff * x)))
-        xi_z = math.sqrt(coeff * z)
-        h_ab = max(binary_entropy(_clamp_half(q + 2.0 * xi_z)) for q in stats.q_ab)
-        bracket, penalty = 1.0 - h_x - h_ab, 0.0
-    else:
-        bar, z, x, zp = negs[:4]
-        log_hi, log_half = math.log(hi + 1), math.log(hi // 2 + 1)
-        etas = _eta(z, 2, hi, log_hi), _eta(x, 2, hi // 2, log_half), _eta(zp, 2, hi, log_hi)
-        corner = _box_corner(stats.q_ab, stats.q_x, stats.q_z, *etas)
-        if corner is None:
-            return None
-        bracket = corner[0] - corner[1]
-        penalty = math.sqrt(n_lo) * (
-            5.0 * math.sqrt(bar) + math.log2(5.0) * math.sqrt(2.0 * (neg_pe - 1.0))
-        )
-        fixed -= 2.0 * postselection_bits(parties, total_rounds)
-    return (n_hi if bracket > 0.0 else n_lo) * bracket - penalty + fixed
-
-
-def _certified_zero(
-    kind: Protocol,
-    parties: int,
-    total_rounds: int,
-    stats: ObservedStats,
-    target: float,
-    p_min: float,
-    p_max: float,
-) -> bool:
-    """True when no budget split and no p in [p_min, p_max] has a positive net length.
-
-    Branch and bound over intervals of m = floor(L p) with ``_length_bound``,
-    best bound first: an interval is settled once its bound is
-    ``_ZERO_SLACK`` bits per round below 0, and split at the geometric mean
-    of its ends otherwise.  Nothing is certified for a target exponent that
-    is negative or not finite, when the floor point is vacuous
-    (eps_rob >= 1) or its box is empty, when the core at the floor
-    exponents comes within the slack of 0 at a concrete p (one per unsettled
-    interval), when an interval of one m stays unsettled, or after
-    ``_ZERO_MAX_SPLITS`` splits.
-    """
-    if not 0.0 <= target < math.inf:
-        return False
-    negs, neg_pe = _floors(kind, parties, total_rounds, target)
-    if _rob(neg_pe, parties) <= 0.0:
-        return False
-    length = _length_core(kind, parties, total_rounds)
-    slack = _ZERO_SLACK * total_rounds
-    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
-    # p >= p_min gives m >= m_min; n >= 1 and p <= p_max (up to exp/log
-    # roundoff) cap m from above
-    m_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max) + 1)
-    unsettled: List[Tuple[float, int, int]] = []
-    intervals = [(m_min, m_max)]
-    for _ in range(_ZERO_MAX_SPLITS):
-        for lo, hi in intervals:
-            bound = _length_bound(kind, parties, total_rounds, stats, negs, neg_pe, p_min, lo, hi)
-            if bound is None:
-                return False
-            if bound >= -slack:
-                p = min(max((math.isqrt(lo * hi) + 0.5) / total_rounds, p_min), p_max)
-                if length(p, stats, negs, neg_pe)[2] >= -slack:
-                    return False
-                heapq.heappush(unsettled, (-bound, lo, hi))
-        if not unsettled:
-            return True
-        _, lo, hi = heapq.heappop(unsettled)
-        if lo == hi:
-            return False
-        mid = math.isqrt(lo * hi)
-        intervals = [(lo, mid), (mid + 1, hi)]
-    return False
 
 
 _CLEAR = 1e3  # stencil second differences aim at this times the roundoff

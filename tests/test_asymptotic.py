@@ -52,6 +52,22 @@ def test_root_sixstate_bipartite():
     assert root == pytest.approx(0.126, abs=1e-3)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-20])
+def test_root_stops_below_the_float_spacing(tol):
+    # no bracket is narrower than adjacent doubles, so hi - lo never falls to tol
+    calls = 0
+
+    def curve(p):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("the bisection did not stop")
+        return 0.11 - p
+
+    root = find_rate_root(curve, 0.05, 0.3, tol=tol)
+    assert curve(math.nextafter(root, 0.0)) > 0.0 >= curve(math.nextafter(root, 1.0))
+
+
 def test_root_requires_sign_change():
     with pytest.raises(ValueError):
         find_rate_root(lambda p: 1.0, 0.0, 0.5)

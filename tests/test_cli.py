@@ -403,8 +403,10 @@ def test_non_finite_round_count_in_config_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("check", ["sampling-lemma", "ec-toy"])
 def test_empty_trial_count_is_usage_error(capsys, check):
-    assert main(["validate", check, "--trials", "0"]) == 2
-    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
+    with pytest.raises(SystemExit) as err:
+        main(["validate", check, "--trials", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: --trials must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize(
@@ -516,6 +518,22 @@ def test_bad_grid_list_or_epsilon_names_the_flag(capsys, argv, message):
         (["asymptotic", "--parties", "1"], "--parties must be at least 2, got 1"),
         (["threshold", "--parties", "1"], "--parties must be at least 2, got 1"),
         (["simulate", "--parties", "1"], "--parties must be at least 2, got 1"),
+        # once the library's "parties must be >= 2, got 1" and friends
+        (["validate", "ec-toy", "--parties", "1"], "--parties must be at least 2, got 1"),
+        (["validate", "ec-toy", "--q", "0.7"], "--q must be in [0, 0.5], got 0.7"),
+        (
+            ["validate", "ec-toy", "--radius", "20"],
+            "--radius must be in [0, --key-bits (12)], got 20",
+        ),
+        (["validate", "ec-toy", "--key-bits", "25"], "--key-bits must be at most 20, got 25"),
+        (
+            ["validate", "sampling-lemma", "--weight", "5000"],
+            "--weight must be in [0, --bits (2000)], got 5000",
+        ),
+        # once numpy's "expected non-negative integer"
+        (["simulate", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["validate", "ec-toy", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["validate", "sampling-lemma", "--seed", "-1"], "--seed must be at least 0, got -1"),
     ],
 )
 def test_out_of_range_value_names_the_flag_before_computing(monkeypatch, capsys, argv, message):
@@ -529,6 +547,7 @@ def test_out_of_range_value_names_the_flag_before_computing(monkeypatch, capsys,
         "threshold_L",
         "simulate_rounds",
         "sampling_lemma_experiment",
+        "ec_toy_run",
     ):
         monkeypatch.setattr(cli, name, computed)
     with pytest.raises(SystemExit) as err:

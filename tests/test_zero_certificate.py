@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mpqkd.finite_key as finite_key
 import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
     Protocol,
@@ -51,7 +52,7 @@ def p_range(kind, total_rounds):
 
 def certified(kind, parties, total_rounds, stats, target):
     p_min, p_max = p_range(kind, total_rounds)
-    return optimize._certified_zero(
+    return finite_key._certified_zero(
         kind, parties, total_rounds, stats, target.neg_log2, p_min, p_max
     )
 
@@ -77,7 +78,7 @@ class TestBound:
         shares = log_uniform_shares(kind, 0.1, log_weights)
         split = optimize._splitter(kind, parties, total_rounds, target_neg)
         negs, neg_pe, _ = split(shares.weights)
-        floors, floor_pe = optimize._floors(kind, parties, total_rounds, target_neg)
+        floors, floor_pe = finite_key._floors(kind, parties, total_rounds, target_neg)
         # eps_PE is composed, so it may sit a few ULPs below its floor
         assert neg_pe >= floor_pe - 8.0 * math.ulp(floor_pe)
         assert all(neg >= floor for neg, floor in zip(negs, floors)), (negs, floors)
@@ -93,7 +94,7 @@ class TestBound:
         for i in pair:
             weights[i] = 0.5 - (k - 2) * 5e-13
         negs, neg_pe, _ = optimize._splitter(kind, parties, 10**9, TARGET.neg_log2)(tuple(weights))
-        floors, floor_pe = optimize._floors(kind, parties, 10**9, TARGET.neg_log2)
+        floors, floor_pe = finite_key._floors(kind, parties, 10**9, TARGET.neg_log2)
         assert neg_pe == pytest.approx(floor_pe, abs=1e-9, rel=1e-15)
 
     @settings(max_examples=400, deadline=None)
@@ -142,10 +143,10 @@ class TestBound:
         m_max = (total_rounds - 1) // 2
         lo = m - math.floor(u_lo * (m - m_min))
         hi = m + math.floor(u_hi * (m_max - m))
-        floors, floor_pe = optimize._floors(kind, parties, total_rounds, target_neg)
+        floors, floor_pe = finite_key._floors(kind, parties, total_rounds, target_neg)
         if _rob(floor_pe, parties) <= 0.0:
             return  # a vacuous floor bounds nothing, and certifies nothing
-        bound = optimize._length_bound(
+        bound = finite_key._length_bound(
             kind, parties, total_rounds, stats, floors, floor_pe, p_min, lo, hi
         )
         if bound is None:
@@ -160,11 +161,11 @@ class TestBound:
         # with lo = hi = m and p = m / L the bound is the floor point itself
         parties, total_rounds = 3, 10**7
         stats = stats_from_qab_global(0.05, parties)
-        floors, floor_pe = optimize._floors(kind, parties, total_rounds, TARGET.neg_log2)
+        floors, floor_pe = finite_key._floors(kind, parties, total_rounds, TARGET.neg_log2)
         for m in (2, 1000, 10**5, 4 * 10**6):
             p = (m + 0.25) / total_rounds
             core = core_net(kind, parties, total_rounds, p, stats, floors, floor_pe)
-            bound = optimize._length_bound(
+            bound = finite_key._length_bound(
                 kind, parties, total_rounds, stats, floors, floor_pe, p, m, m
             )
             assert bound == pytest.approx(core, rel=1e-12, abs=1e-6)
@@ -214,6 +215,22 @@ class TestVerdict:
         assert opt.result == key_length_nsixstate(config, stats, budget)
         assert opt.result.net_length < 0.0
 
+    @pytest.mark.parametrize(
+        "kind, parties, total_rounds, fewest",
+        [
+            (Protocol.N_SIX_STATE, 5, 31622777, 4),
+            (Protocol.N_BB84, 2, 10**5, 4),
+            (Protocol.N_SIX_STATE, 2, 10**5, 2),
+        ],
+    )
+    def test_split_budget(self, kind, parties, total_rounds, fewest):
+        # certified when the bisection may split up to ``fewest`` times, and
+        # not with one split fewer
+        stats = stats_from_qab_global(0.05, parties)
+        for budget, holds in ((fewest, True), (fewest - 1, False)):
+            with mock.patch.object(finite_key, "_ZERO_MAX_SPLITS", budget):
+                assert certified(kind, parties, total_rounds, stats, TARGET) is holds, budget
+
     @pytest.mark.parametrize("neg", [math.inf, -math.inf, -1.0])
     def test_non_finite_or_vacuous_target_certifies_nothing(self, neg):
         stats = stats_from_qab_global(0.05, 2)
@@ -231,9 +248,9 @@ class TestVerdict:
         kind, parties, total_rounds = Protocol.N_SIX_STATE, 3, 10**12
         stats = ObservedStats(q_ab=[0.05, 0.05], q_x=0.001, q_z=0.2)
         p_min, _ = p_range(kind, total_rounds)
-        floors, floor_pe = optimize._floors(kind, parties, total_rounds, TARGET.neg_log2)
+        floors, floor_pe = finite_key._floors(kind, parties, total_rounds, TARGET.neg_log2)
         m_max = (total_rounds - 1) // 2
-        bound = optimize._length_bound(
+        bound = finite_key._length_bound(
             kind, parties, total_rounds, stats, floors, floor_pe, p_min, 2, m_max
         )
         assert bound is None
