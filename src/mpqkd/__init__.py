@@ -5,118 +5,24 @@ conference-key protocols under depolarizing noise, optimizes them over the
 security-parameter budget at fixed total epsilon, locates the round-count
 threshold where the six-state protocol overtakes N-BB84, and validates the
 closed forms against Monte Carlo and exact density-matrix oracles.
+
+The package exports exactly the names its modules list in their ``__all__``.
 """
 
-from .asymptotic import find_rate_root, rate_bb84_asymptotic, rate_sixstate_asymptotic
-from .finite_key import (
-    ConfigurationError,
-    GammaPEResult,
-    KeyLengthResult,
-    KeyLengthTerms,
-    Protocol,
-    ProtocolConfig,
-    RoundCounts,
-    SecurityBudget,
-    derive_counts,
-    epsilon_pe_nbb84,
-    epsilon_pe_nsixstate,
-    epsilon_total_nbb84,
-    epsilon_total_nsixstate,
-    gamma_pe_infimum,
-    key_length_nbb84,
-    key_length_nsixstate,
-    net_key_length,
-    six_state_entropy_expression,
-)
-from .noise import (
-    MarginalProbabilities,
-    NoiseModel,
-    NoiseScenario,
-    ObservedStats,
-    expected_observed_stats,
-    marginal_probabilities,
-)
-from .numerics import (
-    LogEps,
-    binary_entropy,
-    eps_sqrt,
-    eps_sum,
-    eta_correction,
-    log2_one_minus,
-    xi_correction,
-    xlog2x,
-)
-from .optimize import (
-    BudgetShares,
-    OptimizedRate,
-    SearchConfig,
-    allocate_budget,
-    budget_components,
-    optimize_rate,
-    stats_from_qab_global,
-    threshold_L,
-)
-from .simulate import (
-    ECToyReport,
-    SamplingLemmaReport,
-    SimulationReport,
-    ec_toy_run,
-    exact_marginals,
-    sampling_lemma_experiment,
-    simulate_rounds,
-)
+from . import asymptotic, finite_key, noise, numerics, optimize, simulate
+from .asymptotic import *
+from .finite_key import *
+from .noise import *
+from .numerics import *
+from .optimize import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LogEps",
-    "binary_entropy",
-    "xlog2x",
-    "xi_correction",
-    "eta_correction",
-    "eps_sum",
-    "eps_sqrt",
-    "log2_one_minus",
-    "NoiseModel",
-    "NoiseScenario",
-    "MarginalProbabilities",
-    "ObservedStats",
-    "marginal_probabilities",
-    "expected_observed_stats",
-    "Protocol",
-    "ProtocolConfig",
-    "SecurityBudget",
-    "KeyLengthTerms",
-    "KeyLengthResult",
-    "GammaPEResult",
-    "RoundCounts",
-    "ConfigurationError",
-    "derive_counts",
-    "epsilon_pe_nbb84",
-    "epsilon_pe_nsixstate",
-    "epsilon_total_nbb84",
-    "epsilon_total_nsixstate",
-    "six_state_entropy_expression",
-    "gamma_pe_infimum",
-    "key_length_nbb84",
-    "key_length_nsixstate",
-    "net_key_length",
-    "rate_bb84_asymptotic",
-    "rate_sixstate_asymptotic",
-    "find_rate_root",
-    "BudgetShares",
-    "SearchConfig",
-    "OptimizedRate",
-    "budget_components",
-    "allocate_budget",
-    "optimize_rate",
-    "threshold_L",
-    "stats_from_qab_global",
-    "SimulationReport",
-    "SamplingLemmaReport",
-    "ECToyReport",
-    "simulate_rounds",
-    "exact_marginals",
-    "sampling_lemma_experiment",
-    "ec_toy_run",
-]
+__all__ = []
+__all__ += asymptotic.__all__
+__all__ += finite_key.__all__
+__all__ += noise.__all__
+__all__ += numerics.__all__
+__all__ += optimize.__all__
+__all__ += simulate.__all__

@@ -21,12 +21,19 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .finite_key import ConfigurationError, Protocol, ProtocolConfig
+from .finite_key import ConfigurationError, Protocol, ProtocolConfig, derive_counts
 from .noise import NoiseModel, NoiseScenario, expected_observed_stats, marginal_probabilities
 from .numerics import LogEps
 from .optimize import SearchConfig, optimize_rate, threshold_L
 from .asymptotic import rate_bb84_asymptotic, rate_sixstate_asymptotic
-from .simulate import ec_toy_run, exact_marginals, sampling_lemma_experiment, simulate_rounds
+from .simulate import (
+    EC_HASH_LIMIT,
+    ec_hash_length,
+    ec_toy_run,
+    exact_marginals,
+    sampling_lemma_experiment,
+    simulate_rounds,
+)
 
 SCHEMA_VERSION = 1
 
@@ -144,10 +151,6 @@ def _eps(conf: Dict, key: str) -> LogEps:
         raise _die_usage(f"--{key} must be in (0, 1], got {float(conf[key])}") from None
 
 
-def _model(name: str) -> NoiseModel:
-    return NoiseModel.GLOBAL_DEPOLARIZING if name == "global" else NoiseModel.LOCAL_DEPOLARIZING
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -238,11 +241,14 @@ MODEL = Option("model", "global", choices=("global", "local"))
 SEED = Option("seed", 0, type=int)
 SEARCH = Option("max-evals", 5000, "most points scored per optimum", type=int)
 TRIALS = Option("trials", 100_000, type=int)
+EPS_TOT = Option("eps-tot", 5e-9, "total security parameter", type=float)
+PARTY_LIST = Option("parties", "2", "comma list of party counts")
+PARTIES = Option("parties", 3, type=int)
 
 
 def cmd_asymptotic(conf: Dict) -> int:
     """asymptotic rate curves"""
-    model = _model(conf["model"])
+    model = NoiseModel(conf["model"])
     grid = _qab(conf["qab"])
     rows = []
     for parties in _parties(conf["parties"]):
@@ -285,7 +291,7 @@ def cmd_finite(conf: Dict) -> int:
     round_counts = [_round_count("rounds", v) for v in grid]
     rows = []
     for parties in _parties(conf["parties"]):
-        scenario = NoiseScenario(_model(conf["model"]), nu=2.0 * q_ab, parties=parties)
+        scenario = NoiseScenario(NoiseModel(conf["model"]), nu=2.0 * q_ab, parties=parties)
         stats = expected_observed_stats(scenario)
         for total in round_counts:
             row = {"parties": parties, "rounds": total}
@@ -317,10 +323,10 @@ def cmd_finite(conf: Dict) -> int:
 
 FINITE = (
     MODEL,
-    Option("parties", "2", "comma list of party counts"),
+    PARTY_LIST,
     Option("qab", "0.05", "observed Q_AB (other stats via the model)"),
     Option("rounds", "1e5:1e10:11", "L grid lo:hi:steps (log-spaced) or comma list"),
-    Option("eps-tot", 5e-9, "total security parameter", type=float),
+    EPS_TOT,
     SEARCH,
     OUT,
     FORMAT,
@@ -345,8 +351,8 @@ def cmd_threshold(conf: Dict) -> int:
 
 THRESHOLD = (
     Option("qab", "0.05", "grid lo:hi:steps or comma list"),
-    Option("parties", "2", "comma list of party counts"),
-    Option("eps-tot", 5e-9, type=float),
+    PARTY_LIST,
+    EPS_TOT,
     Option("lmax", 1e14, type=float),
     SEARCH,
     OUT,
@@ -362,8 +368,12 @@ def cmd_simulate(conf: Dict) -> int:
     rounds = _round_count("rounds", float(conf["rounds"]), int)
     _require(0.0 < p < 0.5, "p", "in (0, 0.5)", p)
     seed = _int_at_least(conf, "seed", 0)
-    scenario = NoiseScenario(_model(conf["model"]), nu=nu, parties=parties)
+    scenario = NoiseScenario(NoiseModel(conf["model"]), nu=nu, parties=parties)
     config = ProtocolConfig(Protocol(conf["protocol"]), parties, rounds, p)
+    try:
+        derive_counts(config)  # n >= 1 holds for every p < 0.5
+    except ConfigurationError as exc:
+        raise _die_usage(f"--rounds {rounds} at --p {p} leaves {exc}") from None
     report = simulate_rounds(scenario, config, seed=seed)
     rates = {"q_ab": report.q_ab, "q_x": report.q_x, "q_z": report.q_z}
     _write(conf, "report", {**asdict(report), **rates})
@@ -373,7 +383,7 @@ def cmd_simulate(conf: Dict) -> int:
 SIMULATE = (
     MODEL,
     Option("noise", 0.1, "depolarizing strength nu", type=float),
-    Option("parties", 3, type=int),
+    PARTIES,
     Option("protocol", "n-six-state", choices=[k.value for k in Protocol]),
     Option("rounds", 1_000_000, type=float),
     Option("p", 0.25, "second-type round probability", type=float),
@@ -382,8 +392,9 @@ SIMULATE = (
 )
 
 
-def _sigma(bound: float, trials: int) -> float:
-    return math.sqrt(bound * (1.0 - bound) / trials)
+def _limit(bound: float, trials: int) -> float:
+    """``bound`` plus three standard deviations of a frequency over ``trials``."""
+    return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
 
 
 def cmd_marginals(conf: Dict) -> int:
@@ -434,15 +445,10 @@ def cmd_sampling_lemma(conf: Dict) -> int:
         "upper": (report.freq_upper, report.bound_one_sided),
         "lower": (report.freq_lower, report.bound_one_sided),
     }
-    results = {
-        name: {
-            "frequency": freq,
-            "bound": bound,
-            "limit": bound + 3.0 * _sigma(bound, trials),
-            "pass": freq <= bound + 3.0 * _sigma(bound, trials),
-        }
-        for name, (freq, bound) in checks.items()
-    }
+    results = {}
+    for name, (freq, bound) in checks.items():
+        limit = _limit(bound, trials)
+        results[name] = {"frequency": freq, "bound": bound, "limit": limit, "pass": freq <= limit}
     ok = all(r["pass"] for r in results.values())
     _write(conf, "report", {"checks": results, "trials": trials, "seed": report.seed, "pass": ok})
     return 0 if ok else VALIDATION_FAILURE
@@ -468,9 +474,20 @@ def cmd_ec_toy(conf: Dict) -> int:
     _require(0.0 <= q <= 0.5, "q", "in [0, 0.5]", q)
     eps_ec = _eps(conf, "eps-ec")
     _require(0 <= radius <= key_bits, "radius", f"in [0, --key-bits ({key_bits})]", radius)
+    # z_EC grows by log2(1/eps_EC) past log2(|ball| (N-1)), up to the packing limit
+    ball = sum(math.comb(key_bits, wt) for wt in range(radius + 1))
+    smallest = ball * (parties - 1) * 2.0**-EC_HASH_LIMIT
+    unit = 10.0 ** (math.floor(math.log10(smallest)) - 2)  # shown rounded up to 3 digits
+    _require(
+        ec_hash_length(parties, key_bits, radius, eps_ec) <= EC_HASH_LIMIT,
+        "eps-ec",
+        f"at least {math.ceil(smallest / unit) * unit:.3g} at --key-bits {key_bits},"
+        f" --radius {radius} and --parties {parties}",
+        float(conf["eps-ec"]),
+    )
     trials, seed = _int_at_least(conf, "trials", 1), _int_at_least(conf, "seed", 0)
     report = ec_toy_run(parties, key_bits, q, eps_ec, radius, trials, seed)
-    limit = eps_ec.eps + 3.0 * _sigma(eps_ec.eps, report.trials)
+    limit = _limit(eps_ec.eps, report.trials)
     ok = report.failure_freq <= limit
     _write(
         conf,
@@ -491,7 +508,7 @@ def cmd_ec_toy(conf: Dict) -> int:
 
 
 EC_TOY = (
-    Option("parties", 3, type=int),
+    PARTIES,
     Option("key-bits", 12, type=int),
     Option("q", 0.05, "channel flip rate", type=float),
     Option("eps-ec", 2.0**-6, type=float),

@@ -65,7 +65,6 @@ __all__ = [
     "key_length_nbb84",
     "key_length_nsixstate",
     "net_key_length",
-    "ObservedStats",
 ]
 
 class ConfigurationError(ValueError):

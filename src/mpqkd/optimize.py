@@ -53,7 +53,6 @@ __all__ = [
     "BudgetShares",
     "SearchConfig",
     "OptimizedRate",
-    "budget_components",
     "allocate_budget",
     "optimize_rate",
     "threshold_L",
@@ -69,16 +68,12 @@ class BudgetShares:
     weights: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_shares(self.p, self.weights)
-
-
-def _check_shares(p: float, weights: Tuple[float, ...]) -> None:
-    if any(w <= 0.0 for w in weights):
-        raise ValueError("weights must be positive")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {sum(weights)}")
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"p must be in (0, 0.5), got {p}")
+        if any(w <= 0.0 for w in self.weights):
+            raise ValueError("weights must be positive")
+        if abs(sum(self.weights) - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+        if not 0.0 < self.p < 0.5:
+            raise ValueError(f"p must be in (0, 0.5), got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -389,15 +384,15 @@ def optimize_rate(
     cfg = search_config or SearchConfig()
     n_weights = len(budget_components(kind))
     m_min = 2 if kind is Protocol.N_SIX_STATE else 1
-    p_min = (m_min + 0.5) / total_rounds
     p_max = 0.4999
+    # parties, L and the statistics are the same at every point: check once
+    ProtocolConfig(kind, parties, total_rounds, p_max)
+    _check_stats(kind, parties, stats)
+    p_min = (m_min + 0.5) / total_rounds
     if p_min >= p_max:
         raise ConfigurationError(
             f"L = {total_rounds} is too small for {kind.value} round bookkeeping"
         )
-    # parties, L and the statistics are the same at every point: check once
-    ProtocolConfig(kind, parties, total_rounds, p_max)
-    _check_stats(kind, parties, stats)
 
     target = eps_tot_target.neg_log2
     score = _scorer(kind, parties, total_rounds, stats, target)
@@ -515,9 +510,10 @@ def threshold_L(
     Scans L on a factor-2 geometric grid, looking for the first L where both
     optimized rates are positive and the six-state rate is at least the
     N-BB84 rate, refines by bisection on log L to about 1% and verifies the
-    ordering persists at 2L and 4L.  Returns None when no crossing exists
-    below ``l_max``.  Frequencies are derived from Q_AB via the
-    global-depolarizing relations.
+    ordering persists at 2L and 4L; an L too small for a protocol's round
+    bookkeeping is not crossed.  Returns None when no crossing exists below
+    ``l_max``.  Frequencies are derived from Q_AB via the global-depolarizing
+    relations.
 
     One verdict per L: each L's rates are optimized once, and the N-BB84
     optimum only where the six-state rate is positive.  The first optimum
@@ -526,14 +522,18 @@ def threshold_L(
     the same protocol, since the optimal shares and log p move smoothly
     with log L.
     """
+    if l_min < 1:
+        raise ValueError(f"l_min must be at least 1, got {l_min}")
     stats = stats_from_qab_global(q_ab, parties)
     warm: Dict[Protocol, BudgetShares] = {}
     verdicts: Dict[int, bool] = {}
 
     def rate(kind: Protocol, total_rounds: int) -> float:
-        opt = optimize_rate(
-            kind, parties, total_rounds, stats, eps_tot_target, search_config, warm=warm.get(kind)
-        )
+        search = (kind, parties, total_rounds, stats, eps_tot_target, search_config)
+        try:
+            opt = optimize_rate(*search, warm=warm.get(kind))
+        except ConfigurationError:  # L too small for the round bookkeeping: not crossed
+            return 0.0
         warm[kind] = opt.shares
         return opt.rate
 

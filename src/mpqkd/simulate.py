@@ -464,6 +464,15 @@ def _ball_positions(key_bits: int, radius: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(rows), radius)
 
 
+EC_HASH_LIMIT = 62  # bits of z_EC that the hash columns' uint64 packing holds
+
+
+def ec_hash_length(parties: int, key_bits: int, radius: int, eps_ec: LogEps) -> int:
+    """z_EC = max(ceil(log2 |ball| + log2(N-1) + log2(1/eps_EC)), 1) hash bits."""
+    ball = sum(math.comb(key_bits, wt) for wt in range(radius + 1))
+    return max(math.ceil(math.log2(ball) + math.log2(parties - 1) + eps_ec.neg_log2), 1)
+
+
 def ec_toy_run(
     parties: int,
     key_bits: int,
@@ -501,12 +510,11 @@ def ec_toy_run(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
+    z_ec = ec_hash_length(parties, key_bits, radius, eps_ec)
+    if z_ec > EC_HASH_LIMIT:
+        raise ValueError(f"hash length z_EC = {z_ec} exceeds the {EC_HASH_LIMIT}-bit packing limit")
     positions = _ball_positions(key_bits, radius)
     ball = len(positions)
-    z_ec = math.ceil(math.log2(ball) + math.log2(parties - 1) + eps_ec.neg_log2)
-    z_ec = max(z_ec, 1)
-    if z_ec > 62:
-        raise ValueError(f"hash length z_EC = {z_ec} exceeds the 62-bit packing limit")
     degenerate = z_ec >= key_bits  # the hash reveals at least the whole key
 
     n_bobs = parties - 1

@@ -7,6 +7,8 @@ import pytest
 
 import mpqkd.cli as cli
 from mpqkd.cli import main
+from mpqkd.numerics import LogEps
+from mpqkd.simulate import EC_HASH_LIMIT, ec_hash_length
 
 
 def run_cli(capsys, argv):
@@ -195,6 +197,24 @@ def test_validate_ec_toy(capsys):
     doc = json.loads(out)
     assert doc["report"]["pass"] is True
     assert doc["report"]["leakage_bits"] == 16
+
+
+@pytest.mark.parametrize(
+    "key_bits, radius, parties", [(12, 3, 3), (5, 0, 2), (16, 5, 4), (20, 20, 9)]
+)
+def test_ec_toy_names_the_smallest_eps_ec_that_fits(capsys, key_bits, radius, parties):
+    flags = ["--key-bits", str(key_bits), "--radius", str(radius), "--parties", str(parties)]
+    with pytest.raises(SystemExit):
+        main(["validate", "ec-toy", *flags, "--eps-ec", "1e-300"])
+    smallest = float(capsys.readouterr().err.split("at least ")[1].split()[0])
+    for eps, hash_bits in ((smallest, EC_HASH_LIMIT), (0.99 * smallest, EC_HASH_LIMIT + 1)):
+        assert ec_hash_length(parties, key_bits, radius, LogEps.from_eps(eps)) == hash_bits
+
+
+def test_validate_ec_toy_at_the_smallest_eps_ec(capsys):
+    code, out = run_cli(capsys, ["validate", "ec-toy", "--eps-ec", "1.3e-16", "--trials", "100"])
+    assert code == 0
+    assert json.loads(out)["report"]["leakage_bits"] == EC_HASH_LIMIT
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -534,6 +554,26 @@ def test_bad_grid_list_or_epsilon_names_the_flag(capsys, argv, message):
         (["simulate", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["validate", "ec-toy", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["validate", "sampling-lemma", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        # once the library's "hash length z_EC = 76 exceeds the 62-bit packing limit"
+        (
+            ["validate", "ec-toy", "--eps-ec", "1e-20"],
+            "--eps-ec must be at least 1.3e-16 at --key-bits 12, --radius 3 and --parties 3,"
+            " got 1e-20",
+        ),
+        (
+            ["validate", "ec-toy", "--eps-ec", "1.29e-16"],
+            "--eps-ec must be at least 1.3e-16 at --key-bits 12, --radius 3 and --parties 3,"
+            " got 1.29e-16",
+        ),
+        # once the library's "no accepted X-parity rounds: m' = 0" and "no test rounds: m = 0"
+        (
+            ["simulate", "--rounds", "3", "--p", "0.4"],
+            "--rounds 3 at --p 0.4 leaves no accepted X-parity rounds: m' = 0",
+        ),
+        (
+            ["simulate", "--rounds", "2", "--p", "0.3"],
+            "--rounds 2 at --p 0.3 leaves no test rounds: m = 0",
+        ),
     ],
 )
 def test_out_of_range_value_names_the_flag_before_computing(monkeypatch, capsys, argv, message):

@@ -166,6 +166,13 @@ class TestOptimizeRate:
         with pytest.raises(ConfigurationError):
             optimize_rate(Protocol.N_SIX_STATE, 2, 4, stats, TARGET, FAST)
 
+    @pytest.mark.parametrize("kind", list(Protocol))
+    def test_zero_rounds_raise_value_error(self, kind):
+        # once a ZeroDivisionError from p_min = 1.5 / L
+        stats = stats_from_qab_global(0.05, 2)
+        with pytest.raises(ValueError, match="total_rounds must be >= 1"):
+            optimize_rate(kind, 2, 0, stats, TARGET, FAST)
+
     def test_starts_and_seed_change_nothing(self):
         stats = stats_from_qab_global(0.05, 2)
         for kind in Protocol:
@@ -393,6 +400,14 @@ class TestThresholdFromCurve:
 class TestThresholdL:
     def test_none_when_lmax_tiny(self):
         assert threshold_L(0.05, 2, TARGET, l_max=4096, search_config=FAST) is None
+
+    def test_too_small_l_is_not_crossed(self):
+        # L = 3 and 6 leave no room for the six-state round bookkeeping
+        assert threshold_L(0.05, 2, TARGET, l_min=3, l_max=4096, search_config=FAST) is None
+
+    def test_l_min_below_one_raises(self):
+        with pytest.raises(ValueError, match="l_min"):
+            threshold_L(0.05, 2, TARGET, l_min=0)
 
     def test_nbb84_optimized_only_where_six_state_is_positive(self, monkeypatch):
         # synthetic optima against a flat N-BB84 rate of 0.45 from L = 2^8

@@ -2,6 +2,8 @@
 Carlo engines and the density-matrix oracle.  The rates, optima, thresholds
 and asymptotic curves run on the standard library alone."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -69,6 +71,9 @@ assert "numpy" in sys.modules
 """
 
 
+LAYERS = ("asymptotic", "finite_key", "noise", "numerics", "optimize", "simulate")
+
+
 def run_script(script):
     src = str(Path(mpqkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -99,4 +104,23 @@ def test_rates_optima_and_thresholds_run_without_numpy():
 
 def test_simulate_loads_numpy_on_first_call():
     proc = run_script(LAZY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_exactly_its_modules_all():
+    modules = [importlib.import_module(f"mpqkd.{layer}") for layer in LAYERS]
+    owner = {name: module for module in modules for name in module.__all__}
+    assert mpqkd.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(mpqkd.__all__)) == len(mpqkd.__all__)
+    star = {}
+    exec("from mpqkd import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(mpqkd.__all__)
+    assert all(obj is getattr(owner[name], name) for name, obj in star.items())
+    # each name is listed only by the module that defines it
+    for name, module in owner.items():
+        obj = getattr(module, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == module.__name__, name
+    proc = run_script("import sys, mpqkd\nassert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
