@@ -32,6 +32,11 @@ a positive net length.  No split puts an exponent below its floor
 the floors, each at its worst end of an interval of m = floor(L p), bound
 the net length there (``_length_bound``); bisection over m covers p with no
 grid.  At small L this proves most zero-rate optima.
+
+``_multiplier_start`` gives the rate optimizer its first point: the budget
+weights where the key length is stationary on sum w = 1, solved with one
+multiplier from the terms' exact slopes in their own exponents
+(``_slopes``).
 """
 
 from __future__ import annotations
@@ -483,6 +488,132 @@ def _length_core(kind: Protocol, parties: int, total_rounds: int) -> Callable[..
         return partial(_nbb84_length, parties, total_rounds)
     ps_penalty = -2.0 * postselection_bits(parties, total_rounds)
     return partial(_nsixstate_length, parties, ps_penalty, total_rounds)
+
+
+def _h_slope(q: float) -> float:
+    """h'(q) = log2((1 - q) / q), for 0 < q < 1."""
+    return math.log2((1.0 - q) / q)
+
+
+def _slopes(
+    kind: Protocol,
+    parties: int,
+    total_rounds: int,
+    stats: ObservedStats,
+    m: int,
+    negs,
+    neg_pe: float,
+) -> Optional[Tuple[List[float], float]]:
+    """How fast the key length at m test rounds falls as each exponent
+    grows: (a, a_pe) with dl/d neg_i = -a_i, in ``budget_components(kind)``
+    order, and dl/d neg_PE = -a_pe; None for an empty Gamma_PE box.
+
+    Each slope is its terms' exact derivative.  The EC and PA terms give
+    a_ec = 1 and a_pa = 2.  Each sampling radius r (xi or eta, the square
+    root of an affine function of its exponent) moves an entropy argument
+    by 2 dr: N-BB84's two h's and six-state's h(P_AB) weigh it by n h',
+    six-state's P_X and P_Z by n d/dP_X and n d/dP_Z of ``_box_corner``'s
+    bracket; past a clamp an argument stays put.  eps_PE enters through
+    eps_rob in the PA term, and for six-state through ``aep_leak``; eps_bar
+    through ``aep_min``.
+    """
+    n = total_rounds - 2 * m
+    e_rob = 2.0 ** -_rob(neg_pe, parties)
+    a_pe = 2.0 * e_rob / (1.0 - e_rob)
+    if kind is Protocol.N_BB84:
+        z, x, _, _ = negs
+        xi_x, xi_z = _xi(x, n, m), _xi(z, n, m)
+        # each entropy's pull: how fast the bracket falls as its argument
+        # grows; dxi/d neg = xi / (2 neg)
+        arg_x, arg_ab = stats.q_x + 2.0 * xi_x, max(stats.q_ab) + 2.0 * xi_z
+        pull_x = _h_slope(arg_x) if arg_x < 0.5 else 0.0
+        pull_ab = _h_slope(arg_ab) if arg_ab < 0.5 else 0.0
+        return [n * pull_ab * xi_z / z, n * pull_x * xi_x / x, 1.0, 2.0], a_pe
+    bar, z, x, zp, _, _ = negs
+    # the radii of Q_AB, Q_X and Q_Z, sampled on m, m' and m rounds
+    counts = (m, m // 2, m)
+    etas = [_eta(neg, 2, c, math.log(c + 1)) for neg, c in zip((z, x, zp), counts)]
+    corner = _box_corner(stats.q_ab, stats.q_x, stats.q_z, *etas)
+    if corner is None:
+        return None
+    _, _, p_ab, p_x, p_z = corner
+    a1, a2, w = 1.0 - p_z / 2.0 - p_x, p_x - p_z / 2.0, 1.0 - p_z
+    if min(a1, a2) <= 0.0:  # on the bracket's domain edge, where a slope is infinite
+        return None
+    # how fast the bracket falls as each corner coordinate moves by 2 eta:
+    # P_AB and P_X up, P_Z = q_z - 2 eta_z' down; d eta/d neg = ln 2 / (16 c eta)
+    pulls = (
+        _h_slope(p_ab) if p_ab < 0.5 else 0.0,
+        math.log2(a1 / a2) if p_x < 0.5 else 0.0,
+        math.log2(w * w / (4.0 * a1 * a2)) / 2.0 if p_z > 0.0 else 0.0,
+    )
+    a = [2.5 * math.sqrt(n / bar)]
+    a += [n * pull * _LN2 / (8.0 * c * eta) for pull, eta, c in zip(pulls, etas, counts)]
+    a_pe += math.log2(5.0) * math.sqrt(n / (2.0 * (neg_pe - 1.0)))
+    return [*a, 1.0, 2.0], a_pe
+
+
+# rounds of the multiplier start, and its convergence in log weight
+_MULTIPLIER_ROUNDS = 50
+_MULTIPLIER_TOL = 1e-10
+
+
+def _multiplier_start(
+    kind: Protocol,
+    parties: int,
+    total_rounds: int,
+    stats: ObservedStats,
+    split: Callable[[Tuple[float, ...]], Tuple[List[float], float, float]],
+    m: int,
+) -> Optional[Tuple[Tuple[float, ...], float]]:
+    """Budget weights where the key length at m test rounds is stationary on
+    sum w = 1, and the multiplier lambda there: (weights, lambda), or None.
+
+    ``split`` maps weights to (component exponents, eps_PE exponent, eps_tot
+    exponent), as ``allocate_budget`` does.  Every component exponent falls
+    by log2 of its own weight, and eps_PE's by log2 of the sum s of its
+    group's weights (N-BB84's z and x, six-state's z, x and z').  For
+    N-BB84, eps_z and eps_x are shares of eps_PE^2, so their exponents also
+    fall by log2 s.  With a_i and a_pe from ``_slopes``, the stationarity
+    condition dl/dw_i = lambda reads
+
+        a_i / w_i + c_i = lambda ln 2,   c_i = (a_pe + [a_z + a_x]) / s
+
+    in the group (the bracket for N-BB84 only) and c_i = 0 outside it.  For
+    fixed slopes, each share solves to w_i = a_i / (lambda ln 2 - c_i), and
+    lambda to sum w = 1: the sum is convex and falls in lambda, so Newton
+    from the left of the root never overshoots it.  Each a_i varies slowly
+    with w_i (as a radius over its exponent), so re-evaluating the slopes at
+    the new weights, from equal shares, converges fast; so do the eps_PE
+    coupling and six-state's (x, z') pair, whose slopes depend on each other
+    through the box corner.  None where a slope is not positive and finite
+    (a clamped box edge, an empty box) or where eps_rob >= 1.
+    """
+    bb84 = kind is Protocol.N_BB84
+    group = (0, 1) if bb84 else (1, 2, 3)
+    weights = (1.0 / len(budget_components(kind)),) * len(budget_components(kind))
+    for _ in range(_MULTIPLIER_ROUNDS):
+        negs, neg_pe, _ = split(weights)
+        if _rob(neg_pe, parties) <= 0.0:
+            return None
+        got = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
+        if got is None or not all(0.0 < v < math.inf for v in got[0]):
+            return None
+        a, a_pe = got
+        coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / sum(weights[i] for i in group)
+        c = [coupling if i in group else 0.0 for i in range(len(a))]
+        lam = max(ai + ci for ai, ci in zip(a, c))
+        while True:
+            shares = [ai / (lam - ci) for ai, ci in zip(a, c)]
+            step = (sum(shares) - 1.0) / sum(t * t / ai for t, ai in zip(shares, a))
+            if not lam + step > lam:
+                break
+            lam += step
+        done = all(abs(math.log(u / v)) < _MULTIPLIER_TOL for u, v in zip(shares, weights))
+        weights = tuple(shares)
+        if done:
+            break
+    return weights, lam / _LN2
 
 
 # a zero rate is certified when the bound stays this many bits per round below

@@ -12,14 +12,19 @@ length only as -ec - 2 pa and eps_tot only through their sum, so w_PA =
 cost L h(p) moves, and it grows with p, so p sits at the left edge of its
 step (``_left_edge``) and the search runs over m, for six-state over m'
 with m = 2 m' (an odd m buys no X-parity round).  One damped Newton ascent
-(``_climb``) converges there from equal shares, or from a warm hint (the
-optimum at a nearby L; ``threshold_L`` passes the previous optimum of the
-same protocol).  The equal-shares point at p = 0.05 is always scored, so
-the rate never falls below it; a warm ascent that ends below it, or with
-no key length, runs again from equal shares.  Nothing is random.  Each
-point is scored on plain floats (``_scorer``) through the cores that
-``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as they
-would; the public objects are built once, for the point returned.
+(``_climb``) converges there from the multiplier start, or from a warm hint
+(the optimum at a nearby L; ``threshold_L`` passes the previous optimum of
+the same protocol).  The multiplier start (``finite_key._multiplier_start``)
+is where the key length at the m of p = 0.05 is stationary in the weights on
+sum w = 1, solved from the terms' exact derivatives with no point scored;
+where it has none (a clamped or empty confidence box), the ascent starts
+from equal shares.  After a cold ascent the multiplier's shares at its final
+m are scored too.  The equal-shares point at p = 0.05 is always scored, so
+the rate never falls below it; a warm ascent that ends below it, or with no
+key length, runs again cold.  Nothing is random.  Each point is scored on
+plain floats (``_scorer``) through the cores that ``allocate_budget`` and
+``key_length_*`` wrap, so bit for bit as they would; the public objects are
+built for the point returned alone, its ``KeyLengthResult`` on first access.
 
 Before searching, ``finite_key._certified_zero`` may prove a zero rate;
 then the equal-shares start is scored alone.
@@ -28,7 +33,8 @@ then the equal-shares start is scored alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .finite_key import (
@@ -41,6 +47,7 @@ from .finite_key import (
     _check_stats,
     _composer,
     _length_core,
+    _multiplier_start,
     budget_components,
     key_length_nbb84,
     key_length_nsixstate,
@@ -99,10 +106,27 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OptimizedRate:
+    """The best point an optimum scored: its rate, shares and the count of
+    points scored.
+
+    ``result`` is the key length there, evaluated through
+    ``allocate_budget`` and ``key_length_*`` from ``inputs`` (the protocol,
+    N, L, statistics and eps_tot target of the search) on first access;
+    its ``rate`` equals ``rate``.  Callers that need only rates and shares,
+    such as ``threshold_L``, never build it.
+    """
+
     rate: float
     shares: BudgetShares
-    result: KeyLengthResult
     evaluations: int
+    inputs: Tuple[Protocol, int, int, ObservedStats, LogEps] = field(repr=False, compare=False)
+
+    @cached_property
+    def result(self) -> KeyLengthResult:
+        kind, parties, total_rounds, stats, target = self.inputs
+        budget = allocate_budget(kind, parties, total_rounds, target, self.shares)
+        evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+        return evaluator(ProtocolConfig(kind, parties, total_rounds, self.shares.p), stats, budget)
 
 
 def allocate_budget(
@@ -375,11 +399,17 @@ def optimize_rate(
     ``evaluations`` 1.  Elsewhere a rate of 0.0 means the search found no
     positive point, and the shares are the least-negative point it found.
 
-    The search is one Newton ascent from equal shares (EC and PA split 1:2)
-    at the m of p = 0.05, or from ``warm``'s shares and m; a warm ascent
-    that ends below the equal-shares point, or with no key length
-    (infeasible or vacuous), runs again from equal shares.  ``evaluations``
-    counts every point scored; ``search_config.max_evaluations`` caps it.
+    The search is one Newton ascent from the multiplier start: the weights
+    where the key length at the m of p = 0.05 is stationary on sum w = 1
+    (``finite_key._multiplier_start``, EC and PA split 1:2).  Where that
+    start does not exist, the ascent starts from equal shares there, and
+    where those have no key length, from the first point with one share
+    dominant that has one; once it ends, the multiplier's shares at its m
+    are scored.  A ``warm`` ascent starts from its shares and m instead;
+    one that ends below the equal-shares point, or with no key length
+    (infeasible or vacuous), runs again cold.  ``evaluations`` counts every
+    point scored (the multiplier scores none);
+    ``search_config.max_evaluations`` caps it.
     """
     cfg = search_config or SearchConfig()
     n_weights = len(budget_components(kind))
@@ -429,19 +459,31 @@ def optimize_rate(
             k_warm = math.floor(total_rounds * warm.p) // m_min
             reached = _climb(f, [_logits(warm.weights)], k_warm, k_max, noise)
         if not (reached > -math.inf and reached >= floor):
-            # equal shares; where they have no key length, the first point
-            # with one share dominant that has one
+            split = _splitter(kind, parties, total_rounds, target)
+
+            def multiplier(k: int) -> List[List[float]]:
+                """The logits of the multiplier's shares at count k, if any."""
+                start = _multiplier_start(kind, parties, total_rounds, stats, split, m_min * k)
+                return [] if start is None else [_logits(start[0])]
+
+            # the multiplier's shares at p0; else equal shares there, and where
+            # they have no key length, the first point with one share
+            # dominant that has one
             free = range(n_weights - 2)
             heavy = [[3.0 * (i == j) for i in free] for j in free] + [[-3.0 for _ in free]]
             k_cold = math.floor(total_rounds * p0) // m_min
-            _climb(f, [_logits(equal), *heavy], k_cold, k_max, noise)
+            _climb(f, [*multiplier(k_cold), _logits(equal), *heavy], k_cold, k_max, noise)
+            # the ascent settles m, but the shares only to its stencil's
+            # resolution: score the multiplier's shares at that m too
+            k_best = math.floor(total_rounds * best[2]) // m_min
+            for theta in multiplier(k_best):
+                f(theta, k_best)
 
-    _, weights, p = best
-    shares = BudgetShares(p, weights)
-    budget = allocate_budget(kind, parties, total_rounds, eps_tot_target, shares)
-    evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
-    result = evaluator(ProtocolConfig(kind, parties, total_rounds, p), stats, budget)
-    return OptimizedRate(result.rate, shares, result, evaluations)
+    value, weights, p = best
+    inputs = (kind, parties, total_rounds, stats, eps_tot_target)
+    # the rate as ``key_length_*`` computes it from the same net length
+    rate = max(value, 0.0) / total_rounds
+    return OptimizedRate(rate, BudgetShares(p, weights), evaluations, inputs)
 
 
 def stats_from_qab_global(q_ab: float, parties: int) -> ObservedStats:
@@ -517,7 +559,7 @@ def threshold_L(
 
     One verdict per L: each L's rates are optimized once, and the N-BB84
     optimum only where the six-state rate is positive.  The first optimum
-    of each protocol starts from equal shares; every later one is
+    of each protocol starts cold; every later one is
     warm-started (``optimize_rate``'s ``warm``) from the previous optimum of
     the same protocol, since the optimal shares and log p move smoothly
     with log L.

@@ -542,10 +542,16 @@ def ec_toy_run(
         # slice of offsets at a time
         n_hits = np.zeros((n_bobs, batch), dtype=np.int64)
         for rows in np.array_split(positions, -(-ball // slice_rows)):
-            f_offsets = np.zeros((len(rows), batch), dtype=np.uint64)
-            for slot in rows.T:
+            # from the first slot's row; at radius 0 the table has no slots
+            # and the one offset, 0, hashes to 0
+            if radius:
+                f_offsets = hash_cols[rows[:, 0]]
+            else:
+                f_offsets = np.zeros((len(rows), batch), dtype=np.uint64)
+            for slot in rows.T[1:]:
                 f_offsets ^= hash_cols[slot]
-            n_hits += (f_offsets == f_noise.T[:, None, :]).sum(axis=1)
+            for bob in range(n_bobs):
+                n_hits[bob] += np.count_nonzero(f_offsets == f_noise[:, bob], axis=0)
         n_hits = n_hits.T
         x_in_ball = noise_wt <= radius
         n_wrong = n_hits - x_in_ball.astype(np.int64)

@@ -1,0 +1,179 @@
+"""The multiplier start of the rate optimizer.
+
+``finite_key._slopes`` differentiates the key length exactly in each budget
+exponent, and ``_multiplier_start`` solves the stationarity conditions with
+one multiplier lambda on sum w = 1.  The slopes are checked against central
+differences of the key-length core away from the optimum, where a step of
+1e-3 of an exponent moves the length far above its roundoff; the start
+against its own conditions; and the optimum it starts against the ascent
+from equal shares at p = 0.05 that it replaced.
+
+This module imports neither scipy nor mpmath, so it also runs where the
+library's numpy is the only dependency.
+"""
+
+import math
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import mpqkd.finite_key as finite_key
+import mpqkd.optimize as optimize
+from mpqkd.finite_key import Protocol, _length_core, _slopes, budget_components
+from mpqkd.numerics import LogEps
+from mpqkd.optimize import BudgetShares, SearchConfig, optimize_rate, stats_from_qab_global
+from test_zero_certificate import LOG_WEIGHTS, P_MAX, log_uniform_shares
+
+TARGET = LogEps.from_eps(5e-9)
+BB84, SIX = Protocol.N_BB84, Protocol.N_SIX_STATE
+# the eps_PE group of each protocol's weights
+GROUP = {BB84: (0, 1), SIX: (1, 2, 3)}
+
+
+def recorded_start(kind, parties, total_rounds, stats):
+    """The optimum, and the (arguments, result) of each multiplier start it made."""
+    starts = []
+
+    def record(*args):
+        got = finite_key._multiplier_start(*args)
+        starts.append((args, got))
+        return got
+
+    with mock.patch.object(optimize, "_multiplier_start", record):
+        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET)
+    return opt, starts
+
+
+def equal_shares_ascent(kind, parties, total_rounds, stats):
+    """The ascent from equal shares at p = 0.05 that the multiplier start
+    replaced, replayed as a warm start."""
+    k = len(budget_components(kind))
+    m_min = 2 if kind is SIX else 1
+    p0 = math.exp(math.log(min(max(0.05, (m_min + 0.5) / total_rounds), P_MAX)))
+    warm = BudgetShares(p0, (1.0 / k,) * k)
+    return optimize_rate(kind, parties, total_rounds, stats, TARGET, warm=warm)
+
+
+class TestSlopes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 10),
+        log10_rounds=st.floats(5.0, 10.0),
+        q_ab=st.floats(0.01, 0.1),
+        target_neg=st.floats(10.0, 60.0),
+        log10_p=st.floats(-3.0, -1.0),
+        log_weights=LOG_WEIGHTS,
+    )
+    def test_match_central_differences_of_the_core(
+        self, kind, parties, log10_rounds, q_ab, target_neg, log10_p, log_weights
+    ):
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        weights = log_uniform_shares(kind, 0.1, log_weights).weights
+        negs, neg_pe, _ = optimize._splitter(kind, parties, total_rounds, target_neg)(weights)
+        m = max(2, round(total_rounds * 10.0**log10_p))
+        core = _length_core(kind, parties, total_rounds)
+        p = optimize._left_edge(total_rounds, m)
+
+        def slopes(exps=negs):
+            return _slopes(kind, parties, total_rounds, stats, m, exps, neg_pe)
+
+        def length(exps=negs, pe=neg_pe):
+            return core(p, stats, exps, pe)[1]
+
+        got = slopes()
+        if got is None:  # an empty box: no length to differentiate
+            return
+        a, a_pe = got
+        # a difference of lengths of about L bits carries a few of their ULPs
+        roundoff = 64.0 * math.ulp(float(total_rounds))
+        for i, slope in enumerate(a):
+            h = 1e-3 * negs[i]
+            up, down = list(negs), list(negs)
+            up[i] += h
+            down[i] -= h
+            # a clamp between the two points puts a kink there
+            if not (slope > 0.0 and slopes(up)[0][i] > 0.0 and slopes(down)[0][i] > 0.0):
+                continue
+            difference = -(length(up) - length(down)) / (2.0 * h)
+            assert abs(difference - slope) <= 1e-4 * slope + roundoff / h, (i, difference, slope)
+        h = 1e-3 * neg_pe
+        difference = -(length(pe=neg_pe + h) - length(pe=neg_pe - h)) / (2.0 * h)
+        assert abs(difference - a_pe) <= 1e-4 * a_pe + roundoff / h
+
+
+class TestStart:
+    @settings(max_examples=80, deadline=None)
+    @example(kind=SIX, parties=10, log10_rounds=15.0, q_ab=0.05)
+    @example(kind=BB84, parties=10, log10_rounds=15.0, q_ab=0.05)
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 10),
+        log10_rounds=st.floats(4.0, 15.0),
+        q_ab=st.floats(0.01, 0.1),
+    )
+    def test_stationary_on_the_simplex(self, kind, parties, log10_rounds, q_ab):
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        _, starts = recorded_start(kind, parties, total_rounds, stats)
+        # at the m of p = 0.05, then at the ascent's final m
+        for args, got in starts:
+            if got is None:
+                continue  # a slope that is not positive
+            weights, lam = got
+            split, m = args[4], args[5]
+            assert lam > 0.0
+            assert abs(sum(weights) - 1.0) <= 1e-12
+            assert all(w > 0.0 for w in weights)
+            # dl/dw_i = lambda: a_i / w_i + c_i = lambda ln 2 (the eps_PE
+            # coupling c_i, in the group only, of ``_multiplier_start``)
+            negs, neg_pe, _ = split(weights)
+            a, a_pe = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
+            group = GROUP[kind]
+            coupling = a_pe + (a[0] + a[1] if kind is BB84 else 0.0)
+            coupling /= sum(weights[i] for i in group)
+            for i, (slope, w) in enumerate(zip(a, weights)):
+                gain = slope / w + (coupling if i in group else 0.0)
+                assert abs(gain / (lam * math.log(2.0)) - 1.0) <= 1e-9, i
+
+    def test_rate_curve_takes_half_the_evaluations(self):
+        # the 12 optima of the benchmark's rate curve took 2130 evaluations
+        # from equal shares at p = 0.05; each positive one has a start
+        total = 0
+        for parties in (2, 5):
+            stats = stats_from_qab_global(0.05, parties)
+            for total_rounds in (10**5, 31622777, 10**10):
+                for kind in Protocol:
+                    opt, starts = recorded_start(kind, parties, total_rounds, stats)
+                    total += opt.evaluations
+                    if opt.rate > 0.0:
+                        assert starts and starts[0][1] is not None
+        assert total <= 2130 // 2
+
+
+class TestOptimum:
+    @settings(max_examples=60, deadline=None)
+    # the equal-shares ascent stops at the evaluation cap, 4.4e-6 below
+    @example(
+        kind=BB84, parties=4, log10_rounds=math.log10(514734152358875), q_ab=0.05556164257988069
+    )
+    @example(kind=SIX, parties=10, log10_rounds=15.0, q_ab=0.1)
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 10),
+        log10_rounds=st.floats(4.0, 15.0),
+        q_ab=st.floats(0.01, 0.1),
+    )
+    def test_never_below_the_equal_shares_ascent(self, kind, parties, log10_rounds, q_ab):
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET)
+        old = equal_shares_ascent(kind, parties, total_rounds, stats)
+        assert opt.result.rate == opt.rate  # built on first access
+        # the optimizer's roundoff is 2^-50 per round
+        assert opt.rate >= old.rate - 2.0**-50
+        # an ascent stopped by the cap has not converged
+        if old.evaluations < SearchConfig().max_evaluations:
+            assert opt.rate <= old.rate + 1e-12
