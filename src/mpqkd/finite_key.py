@@ -33,10 +33,10 @@ the floors, each at its worst end of an interval of m = floor(L p), bound
 the net length there (``_length_bound``); bisection over m covers p with no
 grid.  At small L this proves most zero-rate optima.
 
-``_multiplier_start`` gives the rate optimizer its first point: the budget
-weights where the key length is stationary on sum w = 1, solved with one
-multiplier from the terms' exact slopes in their own exponents
-(``_slopes``).
+``_multiplier_start`` gives the rate optimizer its weights at each m: the
+budget weights where the key length is stationary on sum w = 1, solved with
+one multiplier from the terms' exact slopes in their own exponents
+(``_slopes``), or where it sits at an edge of the simplex.
 """
 
 from __future__ import annotations
@@ -556,6 +556,18 @@ def _slopes(
 # rounds of the multiplier start, and its convergence in log weight
 _MULTIPLIER_ROUNDS = 50
 _MULTIPLIER_TOL = 1e-10
+# the weight of a share with no slope, and eps_rob's least distance below 1
+_EDGE = 2.0**-40
+
+
+def _onto_edge(weights: Tuple[float, ...], group: Tuple[int, ...], cap: float) -> Tuple[float, ...]:
+    """``weights`` with the group's mass set to ``cap`` and the rest's to
+    1 - cap, each part in its own proportions."""
+    inside = sum(w for i, w in enumerate(weights) if i in group)
+    outside = sum(w for i, w in enumerate(weights) if i not in group)
+    return tuple(
+        w * (cap / inside if i in group else (1.0 - cap) / outside) for i, w in enumerate(weights)
+    )
 
 
 def _multiplier_start(
@@ -565,6 +577,7 @@ def _multiplier_start(
     stats: ObservedStats,
     split: Callable[[Tuple[float, ...]], Tuple[List[float], float, float]],
     m: int,
+    start: Optional[Tuple[float, ...]] = None,
 ) -> Optional[Tuple[Tuple[float, ...], float]]:
     """Budget weights where the key length at m test rounds is stationary on
     sum w = 1, and the multiplier lambda there: (weights, lambda), or None.
@@ -584,31 +597,59 @@ def _multiplier_start(
     lambda to sum w = 1: the sum is convex and falls in lambda, so Newton
     from the left of the root never overshoots it.  Each a_i varies slowly
     with w_i (as a radius over its exponent), so re-evaluating the slopes at
-    the new weights, from equal shares, converges fast; so do the eps_PE
-    coupling and six-state's (x, z') pair, whose slopes depend on each other
-    through the box corner.  None where a slope is not positive and finite
-    (a clamped box edge, an empty box) or where eps_rob >= 1.
+    the new weights, from ``start`` (equal shares by default), converges
+    fast; so do the eps_PE coupling and six-state's (x, z') pair, whose
+    slopes depend on each other through the box corner.
+
+    Two edges of the simplex hold the optima that have no stationary point:
+
+    - a share whose slope is 0 (its box coordinate clamped, as six-state's
+      P_Z at 0 for small Q_Z) buys nothing, so it is pinned at weight
+      ``_EDGE`` and the others are solved on the remaining mass;
+    - eps_rob grows in proportion to s, and where (N-1) eps_tot > 1 the PA
+      term rises without bound as eps_rob nears 1, so where the solve would
+      take eps_rob past 1 - ``_EDGE``, s stops there, split in the solved
+      shares' proportions (a_z : a_x, and EC:PA = 1:2).  A start past
+      eps_rob = 1 has no slopes; the solve starts from equal shares instead,
+      moved onto that edge if they are past it too.
+
+    None where a slope is negative or not finite, or the box is empty.
     """
     bb84 = kind is Protocol.N_BB84
     group = (0, 1) if bb84 else (1, 2, 3)
-    weights = (1.0 / len(budget_components(kind)),) * len(budget_components(kind))
+    size = len(budget_components(kind))
+    equal = (1.0 / size,) * size
+    weights = start or equal
+    if _rob(split(weights)[1], parties) <= 0.0:
+        e_rob = 2.0 ** -_rob(split(equal)[1], parties)
+        cap = (1.0 - _EDGE) * len(group) / size / e_rob
+        weights = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
     for _ in range(_MULTIPLIER_ROUNDS):
         negs, neg_pe, _ = split(weights)
-        if _rob(neg_pe, parties) <= 0.0:
-            return None
         got = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
-        if got is None or not all(0.0 < v < math.inf for v in got[0]):
+        if got is None or not all(0.0 <= v < math.inf for v in got[0]):
             return None
         a, a_pe = got
-        coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / sum(weights[i] for i in group)
-        c = [coupling if i in group else 0.0 for i in range(len(a))]
-        lam = max(ai + ci for ai, ci in zip(a, c))
+        s = sum(weights[i] for i in group)
+        coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / s
+        c = [coupling if i in group else 0.0 for i in range(size)]
+        free = [i for i in range(size) if a[i] > 0.0]
+        mass = 1.0 - _EDGE * (size - len(free))
+        lam = max(a[i] + c[i] for i in free)
         while True:
-            shares = [ai / (lam - ci) for ai, ci in zip(a, c)]
-            step = (sum(shares) - 1.0) / sum(t * t / ai for t, ai in zip(shares, a))
+            shares = [_EDGE] * size
+            for i in free:
+                shares[i] = a[i] / (lam - c[i])
+            slope = sum(shares[i] * shares[i] / a[i] for i in free)
+            step = (sum(shares[i] for i in free) - mass) / slope
             if not lam + step > lam:
                 break
             lam += step
+        e_rob = 2.0 ** -_rob(neg_pe, parties)
+        grown = sum(shares[i] for i in group)
+        if e_rob * grown > (1.0 - _EDGE) * s:
+            shares = _onto_edge(shares, group, (1.0 - _EDGE) * s / e_rob)
+            lam = a[-1] / shares[-1]  # the PA share, outside the group: c = 0
         done = all(abs(math.log(u / v)) < _MULTIPLIER_TOL for u, v in zip(shares, weights))
         weights = tuple(shares)
         if done:
@@ -770,6 +811,11 @@ def key_length_nbb84(
 
     Entropy arguments clamp to [0, 1/2]: past 1/2 the underlying bound is
     vacuous and letting h decrease again would inflate the key.
+
+    eps_rob = 2(N-1) eps_PE = (N-1)(w_z + w_x) eps_tot under
+    ``allocate_budget``'s split, and the PA term -2 log2(1 - eps_rob) grows
+    without bound as eps_rob -> 1.  So where (N-1) eps_tot > 1 the length
+    has no maximum over the split: it is largest next to eps_rob = 1.
     """
     return _key_length(Protocol.N_BB84, "N-BB84", config, stats, budget)
 

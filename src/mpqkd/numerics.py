@@ -12,11 +12,6 @@ private ``_log_sum``, ``_xi``, ``_eta`` and ``_log2_one_minus``), which the
 rate optimizer's objective calls point by point; the public ``LogEps``
 functions validate their arguments and delegate to it.
 
-The optimizer's Newton steps also need a little dense linear algebra on
-matrices of at most 5 x 5: products and a symmetric eigensolver on plain
-lists (``_times``, ``_eigh``), since numpy.linalg would map LAPACK's working
-memory into every optimizing process.
-
 All functions here are pure and thread-safe.
 """
 
@@ -24,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 _LN2 = math.log(2.0)
 
@@ -195,47 +190,3 @@ def _log2_one_minus(neg_log2: float) -> float:
     if neg_log2 > 53.0:
         return -(2.0 ** (-neg_log2)) / _LN2
     return math.log1p(-(2.0 ** (-neg_log2))) / _LN2
-
-
-def _dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _times(a, b) -> List[List[float]]:
-    """The matrix product of a and b, both lists of rows."""
-    return [[_dot(row, col) for col in zip(*b)] for row in a]
-
-
-def _eigh(a: List[List[float]]) -> Tuple[List[float], List[List[float]]]:
-    """Eigenvalues and orthonormal eigenvectors (as rows) of a small symmetric
-    matrix, by cyclic Jacobi rotations."""
-    n = len(a)
-    a = [list(row) for row in a]
-    vectors = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(50):
-        off = sum(a[p][q] ** 2 for p in range(n) for q in range(p))
-        if off <= 1e-30 * sum(a[i][i] ** 2 for i in range(n)):
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                if a[p][q] == 0.0:
-                    continue
-                # the rotation in the (p, q) plane that zeroes a[p][q]
-                apq = a[p][q]
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for r in range(n):
-                    if r != p and r != q:
-                        arp, arq = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = c * arp - s * arq
-                        a[r][q] = a[q][r] = s * arp + c * arq
-                vectors[p], vectors[q] = (
-                    [c * x - s * y for x, y in zip(vectors[p], vectors[q])],
-                    [s * x + c * y for x, y in zip(vectors[p], vectors[q])],
-                )
-    return [a[i][i] for i in range(n)], vectors

@@ -6,22 +6,21 @@ rounds.  The split is parameterized by positive simplex weights, so every
 evaluated point satisfies the composed eps_tot <= target exactly, in the log
 domain; no penalty terms are involved.
 
-The search runs on a smaller space.  eps_EC and eps_PA enter the key
-length only as -ec - 2 pa and eps_tot only through their sum, so w_PA =
-2 w_EC (``_expand``).  Within a step of m = floor(L p) only the preshared
-cost L h(p) moves, and it grows with p, so p sits at the left edge of its
-step (``_left_edge``) and the search runs over m, for six-state over m'
-with m = 2 m' (an odd m buys no X-parity round).  One damped Newton ascent
-(``_climb``) converges there from the multiplier start, or from a warm hint
-(the optimum at a nearby L; ``threshold_L`` passes the previous optimum of
-the same protocol).  The multiplier start (``finite_key._multiplier_start``)
-is where the key length at the m of p = 0.05 is stationary in the weights on
-sum w = 1, solved from the terms' exact derivatives with no point scored;
-where it has none (a clamped or empty confidence box), the ascent starts
-from equal shares.  After a cold ascent the multiplier's shares at its final
-m are scored too.  The equal-shares point at p = 0.05 is always scored, so
-the rate never falls below it; a warm ascent that ends below it, or with no
-key length, runs again cold.  Nothing is random.  Each point is scored on
+The search runs over one count.  Within a step of m = floor(L p) only the
+preshared cost L h(p) moves, and it grows with p, so p sits at the left
+edge of its step (``_left_edge``) and the search runs over m, for six-state
+over m' with m = 2 m' (an odd m buys no X-parity round).  At each m the
+weights are the multiplier's (``finite_key._multiplier_start``): where the
+key length there is stationary on sum w = 1, solved from the terms' exact
+derivatives with no point scored, or where it sits at an edge of the
+simplex (a share with no slope at its least weight, N-BB84's eps_rob just
+short of 1).  eps_EC and eps_PA enter the key length only as -ec - 2 pa and
+eps_tot only through their sum, so there w_PA = 2 w_EC.  One damped Newton
+ascent in ln m (``_climb``) converges from the m of p = 0.05, or from a
+warm hint (the optimum at a nearby L; ``threshold_L`` passes the previous
+optimum of the same protocol), each solve started from the last one's
+weights.  The equal-shares point at p = 0.05 is always scored first, so the
+rate never falls below it.  Nothing is random.  Each point is scored on
 plain floats (``_scorer``) through the cores that ``allocate_budget`` and
 ``key_length_*`` wrap, so bit for bit as they would; the public objects are
 built for the point returned alone, its ``KeyLengthResult`` on first access.
@@ -54,7 +53,7 @@ from .finite_key import (
     postselection_bits,
 )
 from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
-from .numerics import LogEps, _dot, _eigh, _times
+from .numerics import LogEps
 
 __all__ = [
     "BudgetShares",
@@ -87,11 +86,12 @@ class BudgetShares:
 class SearchConfig:
     """The most points one optimum scores; ``starts`` and ``seed`` change nothing.
 
-    The search is one deterministic Newton ascent, so it has no starts to
-    count and draws nothing at random, and no command-line flag sets either
-    field.  They stay, in this order, because callers such as the benchmark
-    workloads build ``SearchConfig(max_evaluations, starts, seed)``
-    positionally; both caps must be at least 1.
+    The search is one deterministic Newton ascent over the test-round count,
+    so it has no starts to count and draws nothing at random, and no
+    command-line flag sets either field.  They stay, in this order, because
+    callers such as the benchmark workloads build
+    ``SearchConfig(max_evaluations, starts, seed)`` positionally; both caps
+    must be at least 1.
     """
 
     max_evaluations: int = 5000
@@ -208,9 +208,8 @@ def _splitter(
 
 
 _CLEAR = 1e3  # stencil second differences aim at this times the roundoff
-_FIRST_STEP = 1e-2  # the first stencil step, in logits and relative in m
-_REACH = 2.0  # the most a Newton step moves along one eigen-direction
-_LOGIT_CAP = 50.0  # logits stay this close to the reference share's
+_FIRST_STEP = 1e-2  # the first stencil step, relative to k
+_REACH = 2.0  # the most a Newton step moves in ln k
 
 
 def _left_edge(total_rounds: int, m: int) -> float:
@@ -221,28 +220,6 @@ def _left_edge(total_rounds: int, m: int) -> float:
     while math.floor(total_rounds * math.nextafter(p, 0.0)) == m:
         p = math.nextafter(p, 0.0)
     return p
-
-
-def _expand(shares: Tuple[float, ...]) -> Tuple[float, ...]:
-    """Weights from reduced shares, the last one w_EC + w_PA, split 1:2."""
-    *rest, s = shares
-    ec = s / 3.0
-    return (*rest, ec, 2.0 * ec)
-
-
-def _logits(weights: Tuple[float, ...]) -> List[float]:
-    """The free logits of ``weights``: each share's log against w_EC + w_PA."""
-    *rest, ec, pa = weights
-    return [min(max(math.log(w / (ec + pa)), -_LOGIT_CAP), _LOGIT_CAP) for w in rest]
-
-
-def _softmax(theta: List[float]) -> Tuple[float, ...]:
-    top = max(theta)
-    z = [math.exp(v - top) for v in theta]
-    total = 0.0
-    for v in z:
-        total += v
-    return tuple([v / total for v in z])
 
 
 def _scorer(
@@ -265,118 +242,64 @@ def _aim(curvature: float, noise: float) -> float:
     return math.sqrt(_CLEAR * noise / (abs(curvature) or 1e-300))
 
 
-def _climb(
-    f: Callable[[List[float], int], float],
-    starts: List[List[float]],
-    k: int,
-    k_max: int,
-    noise: float,
-) -> float:
-    """Damped Newton ascent of f(theta, k) over free logits and a count k in
-    [2, k_max - 1], from the first of ``starts`` with a finite f; returns
-    the value it ends at (-inf if no start has a key length).
+def _climb(f: Callable[[int], float], k: int, k_max: int, noise: float) -> None:
+    """Damped Newton ascent of f(k) over whole counts k in [2, k_max - 1],
+    from k; it stops at once where f(k) has no key length.
 
-    Gradient and Hessian come from a central stencil: each axis, and each
-    pair of axes along their diagonal.  The logit axes are the last
-    Hessian's eigenvectors, each stepped so that its second difference
-    clears ``noise``, the roundoff of f (``_aim``); k steps in whole counts.
-    While steps in k alone are cut to ``_REACH`` or beat the quadratic model
-    (then they double), the stencil holds k alone, its strongest knob.
-    Newton steps go in (theta, ln k) on the eigenvalues made negative, at
-    most ``_REACH`` along each eigenvector; one that loses is shortened.
-    Once a step promises less than ``noise`` or gains nothing, k walks to
-    its best neighbour (k +- 1, +- 2) until none gains.
+    Slope and curvature come from a central stencil, whose next step is the
+    one whose second difference clears ``noise``, the roundoff of f
+    (``_aim``).  Newton steps go in ln k on the curvature made negative, at
+    most ``_REACH``; one that loses is shortened.  While steps are cut to
+    ``_REACH`` or beat the quadratic model (then they double), a step that
+    gains nothing is retried once from a fresh stencil.  Once a step
+    promises less than ``noise`` or gains nothing, k walks to its best
+    neighbour (k +- 1, +- 2) until none gains.
     """
     k = min(max(k, 2), k_max - 1)
-    for theta in starts:
-        value = f(theta, k)
-        if value > -math.inf:
-            break
-    else:
-        return -math.inf
-    n = len(theta)
-    basis = [[float(i == j) for j in range(n)] for i in range(n)]
-    steps = [_FIRST_STEP] * n + [max(1, round(_FIRST_STEP * k))]
-    count_only = True
+    value = f(k)
+    if value == -math.inf:
+        return
+    step, long = max(1, round(_FIRST_STEP * k)), True
     while True:
-        steps[n] = max(1, min(steps[n], k - 1, k_max - k))
-
-        def at(*moves: Tuple[int, int]) -> float:
-            point, count = theta, k
-            for axis, sign in moves:
-                if axis == n:
-                    count += sign * steps[n]
-                else:
-                    point = [x + sign * steps[axis] * b for x, b in zip(point, basis[axis])]
-            return f(point, count)
-
-        # gradient and Hessian in stencil steps, on this stage's axes
-        axes = range(n if count_only else 0, n + 1)
-        plus, minus = [value] * (n + 1), [value] * (n + 1)
-        for i in axes:
-            plus[i], minus[i] = at((i, 1)), at((i, -1))
-        grad = [(a - b) / 2.0 for a, b in zip(plus, minus)]
-        hess = [[0.0] * (n + 1) for _ in range(n + 1)]
-        for i in axes:
-            hess[i][i] = plus[i] + minus[i] - 2.0 * value
-            for j in range(axes.start, i):
-                pair = at((i, 1), (j, 1)) + at((i, -1), (j, -1))
-                pair += 2.0 * value - plus[i] - minus[i] - plus[j] - minus[j]
-                hess[i][j] = hess[j][i] = pair / 2.0
-        if not all(math.isfinite(x) for row in hess for x in row):
+        step = max(1, min(step, k - 1, k_max - k))
+        plus, minus = f(k + step), f(k - step)
+        curvature = (plus + minus - 2.0 * value) / (step * step)
+        if not math.isfinite(curvature):
             break  # a stencil point has no key length
-        # ... in (theta, k): to_u maps stencil-step derivatives there
-        to_u = [[basis[i][a] / steps[i] for i in range(n)] + [0.0] for a in range(n)]
-        to_u.append([0.0] * n + [1.0 / steps[n]])
-        grad = [_dot(row, grad) for row in to_u]
-        hess = [[_dot(row, col) for col in to_u] for row in _times(to_u, hess)]
-        # the next steps, from the curvatures along the logit eigenvectors and k
-        if not count_only:
-            curvatures, basis = _eigh([row[:n] for row in hess[:n]])
-            steps[:n] = [min(max(_aim(v, noise), 1e-9), 1.0) for v in curvatures]
-        steps[n] = round(_aim(hess[n][n], noise))
-        # ... and in (theta, u), u = ln k: d/du = k d/dk
-        hess[n][n] = k * (k * hess[n][n] + grad[n])
-        for i in range(n):
-            hess[i][n] = hess[n][i] = k * hess[i][n]
-        grad[n] *= k
-        to_u[n][n] *= k
-        delta, slope, cut = [0.0] * (n + 1), 0.0, False
-        for curvature, vec in zip(*_eigh(hess)):
-            along = _dot(vec, grad)
-            # a gradient within its stencil values' roundoff is no gradient
-            if abs(along) <= 4.0 * noise * math.hypot(*(_dot(vec, c) for c in zip(*to_u))):
-                continue
-            cut = cut or abs(curvature) * _REACH < abs(along)
-            step = along / max(abs(curvature), abs(along) / _REACH)
-            delta = [d + step * x for d, x in zip(delta, vec)]
-            slope += along * step
+        slope = (plus - minus) / (2.0 * step)
+        step = round(_aim(curvature, noise))
+        # in u = ln k: d/du = k d/dk
+        grad, hess = k * slope, k * (k * curvature + slope)
+        delta, cut = 0.0, False
+        # a slope within its stencil values' roundoff is no slope
+        if abs(plus - minus) > 8.0 * noise:
+            cut = abs(hess) * _REACH < abs(grad)
+            delta = grad / max(abs(hess), abs(grad) / _REACH)
 
-        def trial(t: float) -> Tuple[float, List[float], int]:
-            point = [min(max(x + t * d, -_LOGIT_CAP), _LOGIT_CAP) for x, d in zip(theta, delta)]
-            count = min(max(round(k * math.exp(t * delta[n])), 2), k_max - 1)
-            return f(point, count), point, count
+        def trial(t: float) -> Tuple[float, int]:
+            count = min(max(round(k * math.exp(t * delta)), 2), k_max - 1)
+            return f(count), count
 
         # a step that promises less than roundoff is not worth scoring
         best, t = None, 1.0
-        while best is None and 0.5 * slope > noise and t > 1e-3:
+        while best is None and 0.5 * grad * delta > noise and t > 1e-3:
             best = trial(t)
             if not best[0] > value:
                 best, t = None, t / 4.0
-        while count_only and best and best[0] - value > 1.1 * (t - 0.5 * t * t) * slope:
-            # the count's curvature grows on the way: try longer steps
+        while long and best and best[0] - value > 1.1 * (t - 0.5 * t * t) * grad * delta:
+            # the curvature grows on the way: try longer steps
             longer = trial(2.0 * t)
             if not longer[0] > best[0]:
                 break
             best, t = longer, 2.0 * t
-        if not (best or count_only):
+        if not (best or long):
             break
-        value, theta, k = best or (value, theta, k)
-        count_only = count_only and bool(best) and (cut or t != 1.0)
+        value, k = best or (value, k)
+        long = long and bool(best) and (cut or t != 1.0)
     while True:
-        top, count = max((f(theta, c), c) for c in (k - 1, k + 1, k - 2, k + 2) if 1 <= c <= k_max)
+        top, count = max((f(c), c) for c in (k - 1, k + 1, k - 2, k + 2) if 1 <= c <= k_max)
         if not top > value:
-            return value
+            return
         value, k = top, count
 
 
@@ -399,16 +322,14 @@ def optimize_rate(
     ``evaluations`` 1.  Elsewhere a rate of 0.0 means the search found no
     positive point, and the shares are the least-negative point it found.
 
-    The search is one Newton ascent from the multiplier start: the weights
-    where the key length at the m of p = 0.05 is stationary on sum w = 1
-    (``finite_key._multiplier_start``, EC and PA split 1:2).  Where that
-    start does not exist, the ascent starts from equal shares there, and
-    where those have no key length, from the first point with one share
-    dominant that has one; once it ends, the multiplier's shares at its m
-    are scored.  A ``warm`` ascent starts from its shares and m instead;
-    one that ends below the equal-shares point, or with no key length
-    (infeasible or vacuous), runs again cold.  ``evaluations`` counts every
-    point scored (the multiplier scores none);
+    The search is one Newton ascent over the test-round count, from the m
+    of p = 0.05 (or of ``warm.p``).  At each m it scores the multiplier's
+    shares there: the weights where the key length is stationary on sum w
+    = 1, or sits at an edge of the simplex (``finite_key._multiplier_start``,
+    EC and PA split 1:2), each solve started from the last one's weights
+    (the first from ``warm.weights``, or equal shares).  Where an m has no
+    such weights, the last ones are scored there.  ``evaluations`` counts
+    every point scored (the multiplier scores none);
     ``search_config.max_evaluations`` caps it.
     """
     cfg = search_config or SearchConfig()
@@ -426,6 +347,7 @@ def optimize_rate(
 
     target = eps_tot_target.neg_log2
     score = _scorer(kind, parties, total_rounds, stats, target)
+    split = _splitter(kind, parties, total_rounds, target)
     noise = 2.0**-50 * total_rounds  # roundoff, in bits, of terms of about L bits
     # the search runs over k = m, or k = m' with m = 2 m' for six-state
     k_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max)) // m_min
@@ -433,51 +355,30 @@ def optimize_rate(
     p0 = math.exp(math.log(min(max(0.05, p_min), p_max)))
     equal = (1.0 / n_weights,) * n_weights
     certified = _certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max)
-    floor = score(equal, p0)
     # (net length, weights, p) of the best point so far, the first of equals
-    best, evaluations = (floor, equal, p0), 1
+    best, evaluations = (score(equal, p0), equal, p0), 1
+    # the weights the next multiplier solve starts from
+    start = None if warm is None else warm.weights
 
-    def scored(weights: Tuple[float, ...], p: float) -> float:
-        nonlocal best, evaluations
+    def f(k: int) -> float:
+        nonlocal best, evaluations, start
         # past the cap, every point reads as one with no key length
         if evaluations >= cfg.max_evaluations:
             return -math.inf
+        m = m_min * k
+        solved = _multiplier_start(kind, parties, total_rounds, stats, split, m, start)
+        start = start if solved is None else solved[0]
+        weights, p = start or equal, _left_edge(total_rounds, m)
         evaluations += 1
         value = score(weights, p)
         if value > best[0]:
             best = (value, weights, p)
         return value
 
-    def f(theta: List[float], k: int) -> float:
-        weights = _expand(_softmax([*theta, 0.0]))
-        return scored(weights, _left_edge(total_rounds, m_min * k))
-
     # too few counts for a central difference in m: the floor alone
     if not certified and k_max >= 3:
-        reached = -math.inf
-        if warm is not None:
-            k_warm = math.floor(total_rounds * warm.p) // m_min
-            reached = _climb(f, [_logits(warm.weights)], k_warm, k_max, noise)
-        if not (reached > -math.inf and reached >= floor):
-            split = _splitter(kind, parties, total_rounds, target)
-
-            def multiplier(k: int) -> List[List[float]]:
-                """The logits of the multiplier's shares at count k, if any."""
-                start = _multiplier_start(kind, parties, total_rounds, stats, split, m_min * k)
-                return [] if start is None else [_logits(start[0])]
-
-            # the multiplier's shares at p0; else equal shares there, and where
-            # they have no key length, the first point with one share
-            # dominant that has one
-            free = range(n_weights - 2)
-            heavy = [[3.0 * (i == j) for i in free] for j in free] + [[-3.0 for _ in free]]
-            k_cold = math.floor(total_rounds * p0) // m_min
-            _climb(f, [*multiplier(k_cold), _logits(equal), *heavy], k_cold, k_max, noise)
-            # the ascent settles m, but the shares only to its stencil's
-            # resolution: score the multiplier's shares at that m too
-            k_best = math.floor(total_rounds * best[2]) // m_min
-            for theta in multiplier(k_best):
-                f(theta, k_best)
+        k = math.floor(total_rounds * (p0 if warm is None else warm.p)) // m_min
+        _climb(f, k, k_max, noise)
 
     value, weights, p = best
     inputs = (kind, parties, total_rounds, stats, eps_tot_target)

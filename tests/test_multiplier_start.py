@@ -2,11 +2,12 @@
 
 ``finite_key._slopes`` differentiates the key length exactly in each budget
 exponent, and ``_multiplier_start`` solves the stationarity conditions with
-one multiplier lambda on sum w = 1.  The slopes are checked against central
-differences of the key-length core away from the optimum, where a step of
-1e-3 of an exponent moves the length far above its roundoff; the start
-against its own conditions; and the optimum it starts against the ascent
-from equal shares at p = 0.05 that it replaced.
+one multiplier lambda on sum w = 1, with a share of slope 0 pinned at its
+edge and N-BB84's eps_rob held short of 1.  The slopes are checked against
+central differences of the key-length core away from the optimum, where a
+step of 1e-3 of an exponent moves the length far above its roundoff; the
+start against its own conditions; and the optimum at eps_rob's edge for
+feasibility and a positive rate.
 
 This module imports neither scipy nor mpmath, so it also runs where the
 library's numpy is the only dependency.
@@ -15,12 +16,13 @@ library's numpy is the only dependency.
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpqkd.finite_key as finite_key
 import mpqkd.optimize as optimize
-from mpqkd.finite_key import Protocol, _length_core, _slopes, budget_components
+from mpqkd.finite_key import _EDGE, Protocol, _length_core, _slopes, budget_components
 from mpqkd.numerics import LogEps
 from mpqkd.optimize import BudgetShares, SearchConfig, optimize_rate, stats_from_qab_global
 from test_zero_certificate import LOG_WEIGHTS, P_MAX, log_uniform_shares
@@ -45,9 +47,8 @@ def recorded_start(kind, parties, total_rounds, stats):
     return opt, starts
 
 
-def equal_shares_ascent(kind, parties, total_rounds, stats):
-    """The ascent from equal shares at p = 0.05 that the multiplier start
-    replaced, replayed as a warm start."""
+def equal_shares_start(kind, parties, total_rounds, stats):
+    """The search from equal shares at p = 0.05, given as a warm start."""
     k = len(budget_components(kind))
     m_min = 2 if kind is SIX else 1
     p0 = math.exp(math.log(min(max(0.05, (m_min + 0.5) / total_rounds), P_MAX)))
@@ -108,33 +109,39 @@ class TestStart:
     @settings(max_examples=80, deadline=None)
     @example(kind=SIX, parties=10, log10_rounds=15.0, q_ab=0.05)
     @example(kind=BB84, parties=10, log10_rounds=15.0, q_ab=0.05)
+    # P_Z clamps at 0: the z' share has no slope
+    @example(kind=SIX, parties=2, log10_rounds=8.0, q_ab=0.005)
     @given(
         kind=st.sampled_from(list(Protocol)),
         parties=st.integers(2, 10),
         log10_rounds=st.floats(4.0, 15.0),
-        q_ab=st.floats(0.01, 0.1),
+        q_ab=st.floats(0.003, 0.12),
     )
     def test_stationary_on_the_simplex(self, kind, parties, log10_rounds, q_ab):
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
         _, starts = recorded_start(kind, parties, total_rounds, stats)
-        # at the m of p = 0.05, then at the ascent's final m
+        # at every m the search scored
         for args, got in starts:
             if got is None:
-                continue  # a slope that is not positive
+                continue  # an empty box, or a slope that is negative
             weights, lam = got
             split, m = args[4], args[5]
             assert lam > 0.0
             assert abs(sum(weights) - 1.0) <= 1e-12
             assert all(w > 0.0 for w in weights)
             # dl/dw_i = lambda: a_i / w_i + c_i = lambda ln 2 (the eps_PE
-            # coupling c_i, in the group only, of ``_multiplier_start``)
+            # coupling c_i, in the group only, of ``_multiplier_start``) for
+            # every share with a slope; one with none sits at its edge
             negs, neg_pe, _ = split(weights)
             a, a_pe = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
             group = GROUP[kind]
             coupling = a_pe + (a[0] + a[1] if kind is BB84 else 0.0)
             coupling /= sum(weights[i] for i in group)
             for i, (slope, w) in enumerate(zip(a, weights)):
+                if slope == 0.0:
+                    assert w == _EDGE, i
+                    continue
                 gain = slope / w + (coupling if i in group else 0.0)
                 assert abs(gain / (lam * math.log(2.0)) - 1.0) <= 1e-9, i
 
@@ -155,7 +162,8 @@ class TestStart:
 
 class TestOptimum:
     @settings(max_examples=60, deadline=None)
-    # the equal-shares ascent stops at the evaluation cap, 4.4e-6 below
+    # the ascent over share logits that the multiplier's shares replaced
+    # stopped at the evaluation cap here, 4.4e-6 below
     @example(
         kind=BB84, parties=4, log10_rounds=math.log10(514734152358875), q_ab=0.05556164257988069
     )
@@ -167,13 +175,36 @@ class TestOptimum:
         q_ab=st.floats(0.01, 0.1),
     )
     def test_never_below_the_equal_shares_ascent(self, kind, parties, log10_rounds, q_ab):
+        # ``warm`` seeds only the first solve and m: from equal shares at p =
+        # 0.05 it is the cold search, point for point
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
         opt = optimize_rate(kind, parties, total_rounds, stats, TARGET)
-        old = equal_shares_ascent(kind, parties, total_rounds, stats)
+        old = equal_shares_start(kind, parties, total_rounds, stats)
         assert opt.result.rate == opt.rate  # built on first access
-        # the optimizer's roundoff is 2^-50 per round
-        assert opt.rate >= old.rate - 2.0**-50
-        # an ascent stopped by the cap has not converged
-        if old.evaluations < SearchConfig().max_evaluations:
-            assert opt.rate <= old.rate + 1e-12
+        assert (opt.rate, opt.shares, opt.evaluations) == (old.rate, old.shares, old.evaluations)
+        assert opt.evaluations < SearchConfig().max_evaluations
+
+
+class TestEdge:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        parties=st.integers(3, 10),
+        log10_rounds=st.floats(7.0, 15.0),
+        q_ab=st.floats(0.003, 0.05),
+        past=st.floats(0.01, 0.99),
+    )
+    def test_eps_rob_stops_short_of_one(self, parties, log10_rounds, q_ab, past):
+        # (N-1) eps_tot = 2^(past log2(N-1)) > 1: the PA term grows without
+        # bound as eps_rob = (N-1) (w_z + w_x) eps_tot nears 1, so the optimum
+        # holds w_z + w_x at 1 - 2^-40 of eps_rob = 1
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        target = LogEps((1.0 - past) * math.log2(parties - 1))
+        opt = optimize_rate(BB84, parties, total_rounds, stats, target)
+        assert opt.result.feasible
+        assert opt.rate > 0.0
+        w_z, w_x, w_ec, w_pa = opt.shares.weights
+        cap = (1.0 - _EDGE) / ((parties - 1) * target.eps)
+        assert abs((w_z + w_x) / cap - 1.0) <= 1e-13
+        assert w_pa == pytest.approx(2.0 * w_ec, rel=1e-15)

@@ -246,7 +246,8 @@ class TestWarmStart:
 
     def test_infeasible_hint_falls_back_to_cold_search(self):
         # at a 0.2-bit target with N = 6, eps_rob >= 1 wherever w_z + w_x is
-        # near 1: the hint is vacuous, and so is the equal-shares point
+        # near 1: the hint is vacuous, and so is the equal-shares point; both
+        # solves start from equal shares moved onto eps_rob's edge
         kind, parties, total_rounds = Protocol.N_BB84, 6, 10**6
         stats = stats_from_qab_global(0.05, parties)
         target = LogEps(0.2)
@@ -259,7 +260,6 @@ class TestWarmStart:
         assert got.rate == cold.rate
         assert got.shares == cold.shares
         assert flat_fields(got.result) == flat_fields(cold.result)
-        assert got.evaluations > cold.evaluations  # the warm start is counted too
 
 
 def public_scorer(kind, parties, total_rounds, stats, target):

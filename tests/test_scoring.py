@@ -1,18 +1,15 @@
 """Point scoring of the rate optimizer: bit identity with the plain formulas.
 
-The optimizer scores each point through fixed-arity compositions, the
-key-length cores and a softmax on plain floats.  These tests hold the
-compositions bit for bit to the pairwise sums they replaced, and every score
-the optimizer takes to one computed afresh from that point's weights and p.
-They also hold the key-length cores to a property of p within one step of
-m = floor(L p).
+The optimizer scores each point through fixed-arity compositions and the
+key-length cores on plain floats.  These tests hold the compositions bit for
+bit to the pairwise sums they replaced, and every score the optimizer takes
+to one computed afresh from that point's weights and p.  They also hold the
+key-length cores to a property of p within one step of m = floor(L p).
 
-This module imports neither scipy nor mpmath.  The softmax is held to
-quotients over an exactly rounded sum, within a few ULPs, and the
-compositions to pairwise sums; numpy only draws their random inputs.
+This module imports neither scipy nor mpmath.  The compositions are held to
+pairwise sums; numpy only draws their random inputs.
 """
 
-import itertools
 import math
 import struct
 
@@ -31,14 +28,7 @@ from mpqkd.finite_key import (
     postselection_exponent,
 )
 from mpqkd.numerics import LogEps
-from mpqkd.optimize import (
-    BudgetShares,
-    SearchConfig,
-    _expand,
-    _softmax,
-    optimize_rate,
-    stats_from_qab_global,
-)
+from mpqkd.optimize import SearchConfig, optimize_rate, stats_from_qab_global
 from test_zero_certificate import LOG_WEIGHTS, log_uniform_shares
 
 TARGET = LogEps.from_eps(5e-9)
@@ -58,13 +48,6 @@ def outcome(f, *args):
 
 
 # --------------------------------------------------- the replaced formulas
-
-
-def fsum_softmax(theta):
-    top = max(theta)
-    z = [math.exp(x - top) for x in theta]
-    total = math.fsum(z)
-    return [v / total for v in z]
 
 
 def plain_sum_neg(terms):
@@ -105,9 +88,6 @@ def plain_compose(kind, negs, parties, total_rounds):
     return plain_compose_nsixstate(negs, parties, total_rounds)
 
 
-# free logits of the optimizer's shares, which it holds within the cap
-LOGITS = st.floats(-optimize._LOGIT_CAP, optimize._LOGIT_CAP)
-
 # exponents near 0 (either sign), moderate, above 1e3, and infinite (eps = 0)
 EXPONENTS = st.one_of(
     st.floats(-2.0, 2.0),
@@ -115,37 +95,6 @@ EXPONENTS = st.one_of(
     st.floats(1e3, 1e7),
     st.just(math.inf),
 )
-
-
-class TestSoftmax:
-    @settings(max_examples=500, deadline=None)
-    @given(theta=st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=6))
-    @example(theta=[0.0, -0.0, 0.0, -0.0])
-    @example(theta=[0.0, -36.8, -36.8, 0.0, -36.8, -36.8])  # in-order sum 1 ULP below fsum
-    def test_within_four_ulps_of_the_exactly_summed_quotients(self, theta):
-        for got, want in zip(_softmax(theta), fsum_softmax(theta)):
-            assert abs(got - want) <= 4.0 * math.ulp(want), theta
-
-    @pytest.mark.parametrize("free", [3, 5])
-    def test_every_weight_positive_at_the_logit_caps(self, free):
-        cap = optimize._LOGIT_CAP
-        for theta in itertools.product((-cap, cap), repeat=free):
-            weights = _softmax([*theta, 0.0])
-            assert all(w > 0.0 for w in weights), theta
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        theta=st.one_of(
-            st.lists(LOGITS, min_size=3, max_size=3), st.lists(LOGITS, min_size=5, max_size=5)
-        ),
-        p=st.floats(1e-6, 0.45),
-    )
-    @example(theta=[optimize._LOGIT_CAP] * 5, p=0.05)
-    @example(theta=[-optimize._LOGIT_CAP] * 3, p=0.05)
-    def test_expanded_weights_make_budget_shares(self, theta, p):
-        weights = _expand(_softmax([*theta, 0.0]))
-        shares = BudgetShares(p, weights)
-        assert shares.weights == weights and len(weights) == len(theta) + 2
 
 
 class TestCompositions:
