@@ -468,9 +468,10 @@ SAMPLING_LEMMA = (
 def cmd_ec_toy(conf: Dict) -> int:
     """toy error-correction failure rate against eps_EC"""
     parties = _int_at_least(conf, "parties", 2)
-    key_bits, q, radius = int(conf["key-bits"]), float(conf["q"]), int(conf["radius"])
+    key_bits = _int_at_least(conf, "key-bits", 0)
     # the library enumerates every key of --key-bits bits
     _require(key_bits <= 20, "key-bits", "at most 20", key_bits)
+    q, radius = float(conf["q"]), int(conf["radius"])
     _require(0.0 <= q <= 0.5, "q", "in [0, 0.5]", q)
     eps_ec = _eps(conf, "eps-ec")
     _require(0 <= radius <= key_bits, "radius", f"in [0, --key-bits ({key_bits})]", radius)

@@ -35,8 +35,8 @@ grid.  At small L this proves most zero-rate optima.
 
 ``_multiplier_start`` gives the rate optimizer its weights at each m: the
 budget weights where the key length is stationary on sum w = 1, solved with
-one multiplier from the terms' exact slopes in their own exponents
-(``_slopes``), or where it sits at an edge of the simplex.
+one multiplier, in closed form, from the terms' exact slopes in their own
+exponents (``_slopes``), or where it sits at an edge of the simplex.
 """
 
 from __future__ import annotations
@@ -593,13 +593,16 @@ def _multiplier_start(
         a_i / w_i + c_i = lambda ln 2,   c_i = (a_pe + [a_z + a_x]) / s
 
     in the group (the bracket for N-BB84 only) and c_i = 0 outside it.  For
-    fixed slopes, each share solves to w_i = a_i / (lambda ln 2 - c_i), and
-    lambda to sum w = 1: the sum is convex and falls in lambda, so Newton
-    from the left of the root never overshoots it.  Each a_i varies slowly
-    with w_i (as a radius over its exponent), so re-evaluating the slopes at
-    the new weights, from ``start`` (equal shares by default), converges
-    fast; so do the eps_PE coupling and six-state's (x, z') pair, whose
-    slopes depend on each other through the box corner.
+    fixed slopes, each share solves to w_i = a_i / (x - c_i), x = lambda
+    ln 2, and sum w = M, the mass the pinned shares leave, to a quadratic:
+    with A and B the sums of a_i outside and inside the group and C the
+    coupling, x is the larger root of M x^2 - (A + B + M C) x + A C = 0
+    (x = A / M where B = 0), whose discriminant (A - M C)^2 + B (B + 2 A +
+    2 M C) sums terms >= 0.  Each a_i varies slowly with w_i (as a radius
+    over its exponent), so re-evaluating the slopes at the new weights, from
+    ``start`` (equal shares by default), converges fast; so do the eps_PE
+    coupling and six-state's (x, z') pair, whose slopes depend on each other
+    through the box corner.
 
     Two edges of the simplex hold the optima that have no stationary point:
 
@@ -609,9 +612,10 @@ def _multiplier_start(
     - eps_rob grows in proportion to s, and where (N-1) eps_tot > 1 the PA
       term rises without bound as eps_rob nears 1, so where the solve would
       take eps_rob past 1 - ``_EDGE``, s stops there, split in the solved
-      shares' proportions (a_z : a_x, and EC:PA = 1:2).  A start past
-      eps_rob = 1 has no slopes; the solve starts from equal shares instead,
-      moved onto that edge if they are past it too.
+      shares' proportions (a_z : a_x, and EC:PA = 1:2).  That s is one for
+      every m and start, since 20 ULPs of eps_rob there move the PA term by
+      ~0.03 bits.  A start past eps_rob = 1 has no slopes; the solve starts
+      from equal shares instead, moved onto that edge if they are past it too.
 
     None where a slope is negative or not finite, or the box is empty.
     """
@@ -619,10 +623,11 @@ def _multiplier_start(
     group = (0, 1) if bb84 else (1, 2, 3)
     size = len(budget_components(kind))
     equal = (1.0 / size,) * size
+    # eps_rob at equal shares, and the s where eps_rob = 1 - _EDGE, if any
+    e_rob = 2.0 ** -_rob(split(equal)[1], parties)
+    cap = (1.0 - _EDGE) * len(group) / size / e_rob if e_rob > 0.0 else math.inf
     weights = start or equal
     if _rob(split(weights)[1], parties) <= 0.0:
-        e_rob = 2.0 ** -_rob(split(equal)[1], parties)
-        cap = (1.0 - _EDGE) * len(group) / size / e_rob
         weights = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
     for _ in range(_MULTIPLIER_ROUNDS):
         negs, neg_pe, _ = split(weights)
@@ -632,23 +637,19 @@ def _multiplier_start(
         a, a_pe = got
         s = sum(weights[i] for i in group)
         coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / s
-        c = [coupling if i in group else 0.0 for i in range(size)]
-        free = [i for i in range(size) if a[i] > 0.0]
-        mass = 1.0 - _EDGE * (size - len(free))
-        lam = max(a[i] + c[i] for i in free)
-        while True:
-            shares = [_EDGE] * size
-            for i in free:
-                shares[i] = a[i] / (lam - c[i])
-            slope = sum(shares[i] * shares[i] / a[i] for i in free)
-            step = (sum(shares[i] for i in free) - mass) / slope
-            if not lam + step > lam:
-                break
-            lam += step
-        e_rob = 2.0 ** -_rob(neg_pe, parties)
-        grown = sum(shares[i] for i in group)
-        if e_rob * grown > (1.0 - _EDGE) * s:
-            shares = _onto_edge(shares, group, (1.0 - _EDGE) * s / e_rob)
+        mass = 1.0 - _EDGE * a.count(0.0)
+        out = sum(v for i, v in enumerate(a) if i not in group)
+        inside = sum(v for i, v in enumerate(a) if i in group)
+        # the larger root of mass lam^2 - (out + inside + mc) lam + out coupling
+        mc = mass * coupling
+        root = math.sqrt((out - mc) ** 2 + inside * (inside + 2.0 * out + 2.0 * mc))
+        lam = (out + inside + mc + root) / (2.0 * mass) if inside > 0.0 else out / mass
+        shares = [
+            (v / (lam - coupling if i in group else lam) if v > 0.0 else _EDGE)
+            for i, v in enumerate(a)
+        ]
+        if sum(shares[i] for i in group) > cap:
+            shares = _onto_edge(shares, group, cap)
             lam = a[-1] / shares[-1]  # the PA share, outside the group: c = 0
         done = all(abs(math.log(u / v)) < _MULTIPLIER_TOL for u, v in zip(shares, weights))
         weights = tuple(shares)

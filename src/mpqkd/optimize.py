@@ -22,8 +22,9 @@ optimum of the same protocol), each solve started from the last one's
 weights.  The equal-shares point at p = 0.05 is always scored first, so the
 rate never falls below it.  Nothing is random.  Each point is scored on
 plain floats (``_scorer``) through the cores that ``allocate_budget`` and
-``key_length_*`` wrap, so bit for bit as they would; the public objects are
-built for the point returned alone, its ``KeyLengthResult`` on first access.
+``key_length_*`` wrap, so bit for bit as they would.  The optimum is plain
+data (rate, shares, evaluations); its key length is ``key_length_*`` of
+``allocate_budget`` at those shares.
 
 Before searching, ``finite_key._certified_zero`` may prove a zero rate;
 then the equal-shares start is scored alone.
@@ -32,13 +33,11 @@ then the equal-shares start is scored alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .finite_key import (
     ConfigurationError,
-    KeyLengthResult,
     Protocol,
     ProtocolConfig,
     SecurityBudget,
@@ -48,8 +47,6 @@ from .finite_key import (
     _length_core,
     _multiplier_start,
     budget_components,
-    key_length_nbb84,
-    key_length_nsixstate,
     postselection_bits,
 )
 from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
@@ -66,7 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BudgetShares:
     """Simplex weights over the free epsilon components, plus p."""
 
@@ -104,29 +101,18 @@ class SearchConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizedRate:
     """The best point an optimum scored: its rate, shares and the count of
     points scored.
 
-    ``result`` is the key length there, evaluated through
-    ``allocate_budget`` and ``key_length_*`` from ``inputs`` (the protocol,
-    N, L, statistics and eps_tot target of the search) on first access;
-    its ``rate`` equals ``rate``.  Callers that need only rates and shares,
-    such as ``threshold_L``, never build it.
+    The key length there is ``key_length_*`` of ``allocate_budget`` at
+    ``shares``; its ``rate`` equals ``rate``.
     """
 
     rate: float
     shares: BudgetShares
     evaluations: int
-    inputs: Tuple[Protocol, int, int, ObservedStats, LogEps] = field(repr=False, compare=False)
-
-    @cached_property
-    def result(self) -> KeyLengthResult:
-        kind, parties, total_rounds, stats, target = self.inputs
-        budget = allocate_budget(kind, parties, total_rounds, target, self.shares)
-        evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
-        return evaluator(ProtocolConfig(kind, parties, total_rounds, self.shares.p), stats, budget)
 
 
 def allocate_budget(
@@ -145,12 +131,21 @@ def allocate_budget(
     ``eps_tot / (L+1)^(2^(2N)-1)`` as 2 eps_bar : (N-1) eps_z : eps_x :
     eps_z' : eps_EC : eps_PA.  A correction pass shifts the components by a
     few ULPs if rounding ever pushed the composed total above the target;
-    ValueError is raised if six passes still leave it above.
+    ValueError is raised if six passes still leave it above, or if the
+    shares do not hold one weight per component.
     """
+    _check_weights(kind, shares.weights)
     negs, _, _ = _splitter(kind, parties, total_rounds, target.neg_log2)(shares.weights)
     return SecurityBudget(
         **{name: LogEps(neg) for name, neg in zip(budget_components(kind), negs)}
     )
+
+
+def _check_weights(kind: Protocol, weights: Tuple[float, ...]) -> None:
+    """ValueError unless ``weights`` holds one weight per budget component."""
+    size = len(budget_components(kind))
+    if len(weights) != size:
+        raise ValueError(f"{kind.value} takes {size} budget weights, got {len(weights)}")
 
 
 def _splitter(
@@ -330,10 +325,13 @@ def optimize_rate(
     (the first from ``warm.weights``, or equal shares).  Where an m has no
     such weights, the last ones are scored there.  ``evaluations`` counts
     every point scored (the multiplier scores none);
-    ``search_config.max_evaluations`` caps it.
+    ``search_config.max_evaluations`` caps it.  A ``warm`` without one
+    weight per budget component raises ValueError.
     """
     cfg = search_config or SearchConfig()
     n_weights = len(budget_components(kind))
+    if warm is not None:
+        _check_weights(kind, warm.weights)
     m_min = 2 if kind is Protocol.N_SIX_STATE else 1
     p_max = 0.4999
     # parties, L and the statistics are the same at every point: check once
@@ -381,10 +379,8 @@ def optimize_rate(
         _climb(f, k, k_max, noise)
 
     value, weights, p = best
-    inputs = (kind, parties, total_rounds, stats, eps_tot_target)
     # the rate as ``key_length_*`` computes it from the same net length
-    rate = max(value, 0.0) / total_rounds
-    return OptimizedRate(rate, BudgetShares(p, weights), evaluations, inputs)
+    return OptimizedRate(max(value, 0.0) / total_rounds, BudgetShares(p, weights), evaluations)
 
 
 def stats_from_qab_global(q_ab: float, parties: int) -> ObservedStats:

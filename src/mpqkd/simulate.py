@@ -499,8 +499,8 @@ def ec_toy_run(
     guessed wrong; the design guarantees that frequency is at most eps_EC.
     """
     import numpy as np
-    if key_bits > 20:
-        raise ValueError(f"exhaustive enumeration capped at 20 bits, got {key_bits}")
+    if not 0 <= key_bits <= 20:  # exhaustive enumeration
+        raise ValueError(f"key_bits must be in [0, 20], got {key_bits}")
     if not 0 <= radius <= key_bits:
         raise ValueError(f"radius must be in [0, key_bits], got {radius}")
     if not 0.0 <= q <= 0.5:

@@ -574,6 +574,12 @@ def test_bad_grid_list_or_epsilon_names_the_flag(capsys, argv, message):
             ["simulate", "--rounds", "2", "--p", "0.3"],
             "--rounds 2 at --p 0.3 leaves no test rounds: m = 0",
         ),
+        # once "--radius must be in [0, --key-bits (-1)], got 3"
+        (["validate", "ec-toy", "--key-bits", "-1"], "--key-bits must be at least 0, got -1"),
+        (
+            ["validate", "ec-toy", "--key-bits", "-1", "--radius", "-2"],
+            "--key-bits must be at least 0, got -1",
+        ),
     ],
 )
 def test_out_of_range_value_names_the_flag_before_computing(monkeypatch, capsys, argv, message):

@@ -24,6 +24,7 @@ from mpqkd.noise import ObservedStats
 from mpqkd.numerics import LogEps
 from mpqkd.optimize import (
     BudgetShares,
+    OptimizedRate,
     SearchConfig,
     _threshold_from_curve,
     allocate_budget,
@@ -32,7 +33,7 @@ from mpqkd.optimize import (
     stats_from_qab_global,
     threshold_L,
 )
-from test_zero_certificate import LOG_WEIGHTS, log_uniform_shares
+from test_zero_certificate import LOG_WEIGHTS, key_length_at, log_uniform_shares
 
 TARGET = LogEps.from_eps(5e-9)
 FAST = SearchConfig(max_evaluations=600, starts=3, seed=11)
@@ -119,6 +120,37 @@ class TestAllocateBudget:
         assert composed.neg_log2 >= target.neg_log2
 
 
+# shares with one weight too many or too few for each protocol; a six-state
+# optimum at N = 2, L = 1e6 is a certified zero, which scores no hint
+WRONG_COUNTS = [
+    (Protocol.N_BB84, 3),
+    (Protocol.N_BB84, 6),
+    (Protocol.N_SIX_STATE, 4),
+    (Protocol.N_SIX_STATE, 7),
+]
+
+
+@pytest.mark.parametrize("kind, count", WRONG_COUNTS)
+class TestWeightCount:
+    def shares(self, kind, count):
+        expected = len(budget_components(kind))
+        message = f"^{kind.value} takes {expected} budget weights, got {count}$"
+        return BudgetShares(0.05, (1.0 / count,) * count), message
+
+    def test_allocate_budget_names_both_counts(self, kind, count):
+        shares, message = self.shares(kind, count)
+        with mock.patch.object(optimize, "_splitter", side_effect=AssertionError("split")):
+            with pytest.raises(ValueError, match=message):
+                allocate_budget(kind, 2, 10**6, TARGET, shares)
+
+    def test_warm_hint_names_both_counts(self, kind, count):
+        shares, message = self.shares(kind, count)
+        stats = stats_from_qab_global(0.05, 2)
+        with mock.patch.object(optimize, "_scorer", side_effect=AssertionError("scored")):
+            with pytest.raises(ValueError, match=message):
+                optimize_rate(kind, 2, 10**6, stats, TARGET, warm=shares)
+
+
 class TestOptimizeRate:
     def test_beats_equal_shares(self):
         stats = stats_from_qab_global(0.05, 2)
@@ -148,10 +180,20 @@ class TestOptimizeRate:
         assert a.shares == b.shares
         assert a.evaluations == b.evaluations
 
+    def test_optimum_is_plain_slotted_data(self):
+        # every kept optimum costs its fields alone, with no instance dict
+        stats = stats_from_qab_global(0.05, 2)
+        opt = optimize_rate(Protocol.N_BB84, 2, 10**6, stats, TARGET, FAST)
+        fields = [f.name for f in dataclasses.fields(OptimizedRate)]
+        assert fields == ["rate", "shares", "evaluations"]
+        assert not hasattr(opt, "__dict__")
+        assert not hasattr(opt.shares, "__dict__")
+
     def test_budget_respected_at_optimum(self):
         stats = stats_from_qab_global(0.05, 2)
         opt = optimize_rate(Protocol.N_BB84, 2, 10**6, stats, TARGET, FAST)
-        assert opt.result.eps_tot.neg_log2 >= TARGET.neg_log2 - 1e-9
+        result = key_length_at(Protocol.N_BB84, 2, 10**6, stats, TARGET, opt)
+        assert result.eps_tot.neg_log2 >= TARGET.neg_log2 - 1e-9
 
     @pytest.mark.parametrize("kind", list(Protocol))
     @pytest.mark.parametrize("neg", [math.inf, -math.inf])
@@ -259,7 +301,8 @@ class TestWarmStart:
         assert cold.rate > 0.0
         assert got.rate == cold.rate
         assert got.shares == cold.shares
-        assert flat_fields(got.result) == flat_fields(cold.result)
+        search = (kind, parties, total_rounds, stats, target)
+        assert flat_fields(key_length_at(*search, got)) == flat_fields(key_length_at(*search, cold))
 
 
 def public_scorer(kind, parties, total_rounds, stats, target):
@@ -331,8 +374,11 @@ class TestReplayReferee:
         assert got.rate == expected.rate
         assert got.shares == expected.shares
         assert got.evaluations == expected.evaluations
-        pairs = list(zip(flat_fields(got.result), flat_fields(expected.result)))
-        assert len(pairs) == len(flat_fields(expected.result)) > 0
+        search = (kind, parties, total_rounds, stats, target)
+        got_fields = flat_fields(key_length_at(*search, got))
+        expected_fields = flat_fields(key_length_at(*search, expected))
+        pairs = list(zip(got_fields, expected_fields))
+        assert len(pairs) == len(expected_fields) > 0
         assert all(same_value(a, b) for a, b in pairs), pairs
 
 

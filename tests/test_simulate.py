@@ -564,3 +564,6 @@ class TestECToy:
             ec_toy_run(1, 10, 0.05, eps, 3, 10, seed=0)
         with pytest.raises(ValueError):
             ec_toy_run(3, 10, 0.05, eps, 3, 0, seed=0)
+        # no radius lies in [0, key_bits] here: the key_bits check comes first
+        with pytest.raises(ValueError, match="^key_bits must be in"):
+            ec_toy_run(3, -1, 0.05, eps, 3, 10, seed=0)

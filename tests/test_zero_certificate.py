@@ -19,6 +19,7 @@ from mpqkd.finite_key import (
     _length_core,
     _rob,
     budget_components,
+    key_length_nbb84,
     key_length_nsixstate,
 )
 from mpqkd.noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
@@ -42,6 +43,15 @@ def log_uniform_shares(kind, p, log_weights):
     """Shares from log-uniform weight draws; 1e-12 draws sit near the simplex edge."""
     raw = [math.exp(v) for v in log_weights[: len(budget_components(kind))]]
     return BudgetShares(p, tuple(w / sum(raw) for w in raw))
+
+
+def key_length_at(kind, parties, total_rounds, stats, target, opt):
+    """The key length at an optimum: ``key_length_*`` of ``allocate_budget``
+    at its shares."""
+    budget = allocate_budget(kind, parties, total_rounds, target, opt.shares)
+    config = ProtocolConfig(kind, parties, total_rounds, opt.shares.p)
+    evaluator = key_length_nbb84 if kind is Protocol.N_BB84 else key_length_nsixstate
+    return evaluator(config, stats, budget)
 
 
 def p_range(kind, total_rounds):
@@ -212,8 +222,9 @@ class TestVerdict:
         assert opt.rate == 0.0
         assert opt.shares == equal
         assert opt.evaluations == 1
-        assert opt.result == key_length_nsixstate(config, stats, budget)
-        assert opt.result.net_length < 0.0
+        result = key_length_at(kind, parties, total_rounds, stats, TARGET, opt)
+        assert result == key_length_nsixstate(config, stats, budget)
+        assert result.net_length < 0.0
 
     @pytest.mark.parametrize(
         "kind, parties, total_rounds, fewest",
