@@ -353,19 +353,19 @@ def _box_corner(
     return entropy, binary_entropy(p_ab_worst), p_ab_worst, px_hi, pz_lo
 
 
-def _gamma_corner(
-    stats: ObservedStats, neg_z: float, neg_x: float, neg_zp: float, m: int, m_prime: int
-) -> Optional[Tuple[float, float, float, float, float]]:
-    """``_box_corner`` of the box with half-widths 2 eta from the exponents."""
+def _radii(neg_z: float, neg_x: float, neg_zp: float, m: int, m_prime: int) -> Tuple[float, ...]:
+    """The sampling radii eta of Q_AB, Q_X and Q_Z, on m, m' and m rounds."""
     log_m1 = math.log(m + 1)
-    return _box_corner(
-        stats.q_ab,
-        stats.q_x,
-        stats.q_z,
+    return (
         _eta(neg_z, 2, m, log_m1),
         _eta(neg_x, 2, m_prime, math.log(m_prime + 1)),
         _eta(neg_zp, 2, m, log_m1),
     )
+
+
+def _gamma_corner(stats: ObservedStats, etas) -> Optional[Tuple[float, float, float, float, float]]:
+    """``_box_corner`` of the box with half-widths 2 eta (``_radii``)."""
+    return _box_corner(stats.q_ab, stats.q_x, stats.q_z, *etas)
 
 
 def _gamma_result(corner) -> GammaPEResult:
@@ -397,7 +397,7 @@ def gamma_pe_infimum(
     if m < 1 or m_prime < 1:
         raise ValueError(f"m and m' must be >= 1, got m={m}, m'={m_prime}")
     _, neg_z, neg_x, neg_zp, _, _ = _negs(budget, Protocol.N_SIX_STATE)
-    return _gamma_result(_gamma_corner(stats, neg_z, neg_x, neg_zp, m, m_prime))
+    return _gamma_result(_gamma_corner(stats, _radii(neg_z, neg_x, neg_zp, m, m_prime)))
 
 
 def _pa_term(neg_rob: float, neg_pa: float) -> float:
@@ -467,7 +467,7 @@ def _nsixstate_length(
     bar, z, x, zp, _, _ = negs
     m, n, m_prime = _counts(Protocol.N_SIX_STATE, total_rounds, p)
     preshared = total_rounds * binary_entropy(p)
-    corner = _gamma_corner(stats, z, x, zp, m, m_prime)
+    corner = _gamma_corner(stats, _radii(z, x, zp, m, m_prime))
     if corner is None or _rob(neg_pe, parties) <= 0.0:  # an empty box, or eps_rob >= 1
         return _length_tail(parties, negs, neg_pe, math.nan, math.nan, ps_penalty, preshared, None)
     entropy, h_ab = corner[:2]
@@ -532,8 +532,8 @@ def _slopes(
     bar, z, x, zp, _, _ = negs
     # the radii of Q_AB, Q_X and Q_Z, sampled on m, m' and m rounds
     counts = (m, m // 2, m)
-    etas = [_eta(neg, 2, c, math.log(c + 1)) for neg, c in zip((z, x, zp), counts)]
-    corner = _box_corner(stats.q_ab, stats.q_x, stats.q_z, *etas)
+    etas = _radii(z, x, zp, m, m // 2)
+    corner = _gamma_corner(stats, etas)
     if corner is None:
         return None
     _, _, p_ab, p_x, p_z = corner
@@ -717,7 +717,7 @@ def _length_bound(
         bracket, penalty = 1.0 - h_x - h_ab, 0.0
     else:
         bar, z, x, zp = negs[:4]
-        corner = _gamma_corner(stats, z, x, zp, hi, hi // 2)
+        corner = _gamma_corner(stats, _radii(z, x, zp, hi, hi // 2))
         if corner is None:
             return None
         bracket = corner[0] - corner[1]

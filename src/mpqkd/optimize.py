@@ -15,16 +15,16 @@ key length there is stationary on sum w = 1, solved from the terms' exact
 derivatives with no point scored, or where it sits at an edge of the
 simplex (a share with no slope at its least weight, N-BB84's eps_rob just
 short of 1).  eps_EC and eps_PA enter the key length only as -ec - 2 pa and
-eps_tot only through their sum, so there w_PA = 2 w_EC.  One damped Newton
-ascent in ln m (``_climb``) converges from the m of p = 0.05, or from a
-warm hint (the optimum at a nearby L; ``threshold_L`` passes the previous
-optimum of the same protocol), each solve started from the last one's
-weights.  The equal-shares point at p = 0.05 is always scored first, so the
-rate never falls below it.  Nothing is random.  Each point is scored on
-plain floats (``_scorer``) through the cores that ``allocate_budget`` and
-``key_length_*`` wrap, so bit for bit as they would.  The optimum is plain
-data (rate, shares, evaluations); its key length is ``key_length_*`` of
-``allocate_budget`` at those shares.
+eps_tot only through their sum, so there w_PA = 2 w_EC.  One backtracking
+Newton ascent in ln m (``_climb``) converges from the m of p = 0.05, or
+from a warm hint (the optimum at a nearby L; ``threshold_L`` passes the
+previous optimum of the same protocol), each solve started from the last
+one's weights, and each m scored at most once.  The equal-shares point at
+p = 0.05 is always scored first, so the rate never falls below it.  Nothing
+is random.  Each point is scored on plain floats (``_scorer``) through the
+cores that ``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as
+they would.  The optimum is plain data (rate, shares, evaluations); its key
+length is ``key_length_*`` of ``allocate_budget`` at those shares.
 
 Before searching, ``finite_key._certified_zero`` may prove a zero rate;
 then the equal-shares start is scored alone.
@@ -243,54 +243,40 @@ def _climb(f: Callable[[int], float], k: int, k_max: int, noise: float) -> None:
 
     Slope and curvature come from a central stencil, whose next step is the
     one whose second difference clears ``noise``, the roundoff of f
-    (``_aim``).  Newton steps go in ln k on the curvature made negative, at
-    most ``_REACH``; one that loses is shortened.  While steps are cut to
-    ``_REACH`` or beat the quadratic model (then they double), a step that
-    gains nothing is retried once from a fresh stencil.  Once a step
-    promises less than ``noise`` or gains nothing, k walks to its best
+    (``_aim``).  Each Newton step goes in ln k on the curvature made
+    negative, at most ``_REACH``, and is cut to a quarter until it gains
+    (backtracking, as in Nocedal and Wright, Numerical Optimization, 3.1),
+    while half its first-order gain still exceeds ``noise``.  The ascent
+    stops where a stencil point has no key length, the slope is within its
+    stencil's roundoff, or no cut step gains; then k walks to its best
     neighbour (k +- 1, +- 2) until none gains.
     """
     k = min(max(k, 2), k_max - 1)
     value = f(k)
     if value == -math.inf:
         return
-    step, long = max(1, round(_FIRST_STEP * k)), True
+    step = max(1, round(_FIRST_STEP * k))
     while True:
         step = max(1, min(step, k - 1, k_max - k))
         plus, minus = f(k + step), f(k - step)
         curvature = (plus + minus - 2.0 * value) / (step * step)
-        if not math.isfinite(curvature):
-            break  # a stencil point has no key length
+        # a stencil point with no key length, or a slope within roundoff
+        if not math.isfinite(curvature) or abs(plus - minus) <= 8.0 * noise:
+            break
         slope = (plus - minus) / (2.0 * step)
         step = round(_aim(curvature, noise))
         # in u = ln k: d/du = k d/dk
         grad, hess = k * slope, k * (k * curvature + slope)
-        delta, cut = 0.0, False
-        # a slope within its stencil values' roundoff is no slope
-        if abs(plus - minus) > 8.0 * noise:
-            cut = abs(hess) * _REACH < abs(grad)
-            delta = grad / max(abs(hess), abs(grad) / _REACH)
-
-        def trial(t: float) -> Tuple[float, int]:
+        delta, t = grad / max(abs(hess), abs(grad) / _REACH), 1.0
+        while 0.5 * t * grad * delta > noise:
             count = min(max(round(k * math.exp(t * delta)), 2), k_max - 1)
-            return f(count), count
-
-        # a step that promises less than roundoff is not worth scoring
-        best, t = None, 1.0
-        while best is None and 0.5 * grad * delta > noise and t > 1e-3:
-            best = trial(t)
-            if not best[0] > value:
-                best, t = None, t / 4.0
-        while long and best and best[0] - value > 1.1 * (t - 0.5 * t * t) * grad * delta:
-            # the curvature grows on the way: try longer steps
-            longer = trial(2.0 * t)
-            if not longer[0] > best[0]:
+            trial = f(count)
+            if trial > value:
                 break
-            best, t = longer, 2.0 * t
-        if not (best or long):
-            break
-        value, k = best or (value, k)
-        long = long and bool(best) and (cut or t != 1.0)
+            t /= 4.0
+        else:
+            break  # no step that promises more than roundoff gains
+        value, k = trial, count
     while True:
         top, count = max((f(c), c) for c in (k - 1, k + 1, k - 2, k + 2) if 1 <= c <= k_max)
         if not top > value:
@@ -323,8 +309,9 @@ def optimize_rate(
     = 1, or sits at an edge of the simplex (``finite_key._multiplier_start``,
     EC and PA split 1:2), each solve started from the last one's weights
     (the first from ``warm.weights``, or equal shares).  Where an m has no
-    such weights, the last ones are scored there.  ``evaluations`` counts
-    every point scored (the multiplier scores none);
+    such weights, the last ones are scored there.  Each m is scored at most
+    once: the search reads a value it has scored again from memory, and
+    ``evaluations`` counts every point scored (the multiplier scores none);
     ``search_config.max_evaluations`` caps it.  A ``warm`` without one
     weight per budget component raises ValueError.
     """
@@ -355,12 +342,15 @@ def optimize_rate(
     certified = _certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max)
     # (net length, weights, p) of the best point so far, the first of equals
     best, evaluations = (score(equal, p0), equal, p0), 1
-    # the weights the next multiplier solve starts from
+    # the weights the next multiplier solve starts from, and each k's value
     start = None if warm is None else warm.weights
+    scored: Dict[int, float] = {}
 
     def f(k: int) -> float:
         nonlocal best, evaluations, start
-        # past the cap, every point reads as one with no key length
+        if k in scored:
+            return scored[k]
+        # past the cap, every new point reads as one with no key length
         if evaluations >= cfg.max_evaluations:
             return -math.inf
         m = m_min * k
@@ -368,7 +358,7 @@ def optimize_rate(
         start = start if solved is None else solved[0]
         weights, p = start or equal, _left_edge(total_rounds, m)
         evaluations += 1
-        value = score(weights, p)
+        value = scored[k] = score(weights, p)
         if value > best[0]:
             best = (value, weights, p)
         return value

@@ -174,3 +174,25 @@ class TestEvaluationCap:
         opt = optimize_rate(BB84, 2, 10**8, stats, TARGET, SearchConfig(1, 1, 0))
         assert opt.evaluations == 1
         assert opt.shares == BudgetShares(math.exp(math.log(0.05)), (0.25,) * 4)
+
+
+class TestNoRunaway:
+    """Off eps_rob's edge ((N-1) eps_tot < 1), N-BB84 optima at L near 1e14
+    that a Newton ascent ending short of the optimum leaves to its +-1, +-2
+    walk, which crawls toward it until the 5000-point cap."""
+
+    # (N, L, Q_AB, eps_tot) -> the converged rate
+    RATES = {
+        (9, 10**14, 0.02, 0.03): 0.7161889025977772,
+        (10, 10**14, 0.04, 0.01): 0.5145515599922281,
+        (10, 127912738303425, 0.035505921126539226, 0.02792800940008555): 0.5566415243442709,
+    }
+
+    @pytest.mark.parametrize("parties, total_rounds, q_ab, eps_tot", list(RATES))
+    def test_converges_within_sixty_points(self, parties, total_rounds, q_ab, eps_tot):
+        stats = stats_from_qab_global(q_ab, parties)
+        target = LogEps.from_eps(eps_tot)
+        opt = optimize_rate(BB84, parties, total_rounds, stats, target)
+        assert opt.evaluations <= 60
+        assert opt.rate >= self.RATES[parties, total_rounds, q_ab, eps_tot] - 1e-12
+        assert evaluate(BB84, parties, total_rounds, stats, opt.shares, target) == opt.rate

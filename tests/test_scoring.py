@@ -147,6 +147,7 @@ class TestScoresAreFresh:
         target = TARGET.neg_log2
         point = {}
         seen = {"points": 0}
+        ps = []
         scorer = optimize._scorer
         length_core = optimize._length_core
 
@@ -155,6 +156,7 @@ class TestScoresAreFresh:
 
             def spied(weights, p):
                 point.update(p=p, weights=weights)
+                ps.append(p)
                 return score(weights, p)
 
             return spied
@@ -183,6 +185,9 @@ class TestScoresAreFresh:
         opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, SearchConfig(300, 1, 0))
         assert opt.rate > 0.0
         assert seen["points"] == opt.evaluations
+        # after the equal-shares floor, each m is scored once
+        ms = [math.floor(total_rounds * p) for p in ps[1:]]
+        assert len(set(ms)) == len(ms)
 
 
 class TestWithinOneStepOfM:
