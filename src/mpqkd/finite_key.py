@@ -27,11 +27,12 @@ results in ``LogEps``, ``KeyLengthResult`` and friends, so objects are built
 only for the points a caller asks about.
 
 ``_certified_zero`` proves, where it can, that no budget split and no p has
-a positive net length.  No split puts an exponent below its floor
-(``_floors``), and every term grows as an exponent falls, so the terms at
-the floors, each at its worst end of an interval of m = floor(L p), bound
-the net length there (``_length_bound``); bisection over m covers p with no
-grid.  At small L this proves most zero-rate optima.
+a net length at a level (0, or N-BB84's) or above.  No split puts an
+exponent below its floor (``_floors``), and every term grows as an exponent
+falls, so the terms at the floors, each at its worst end of an interval of
+m = floor(L p), bound the net length there (``_length_bound``); bisection
+over m covers p with no grid.  At small L this proves most zero-rate
+optima, and away from the crossover most six-state rates below N-BB84's.
 
 ``_multiplier_start`` gives the rate optimizer its weights at each m: the
 budget weights where the key length is stationary on sum w = 1, solved with
@@ -617,7 +618,8 @@ def _multiplier_start(
       ~0.03 bits.  A start past eps_rob = 1 has no slopes; the solve starts
       from equal shares instead, moved onto that edge if they are past it too.
 
-    None where a slope is negative or not finite, or the box is empty.
+    None where a slope is negative or not finite, the box is empty, or an
+    unconverged solve leaves weights that miss sum w = 1 by over 1e-9.
     """
     bb84 = kind is Protocol.N_BB84
     group = (0, 1) if bb84 else (1, 2, 3)
@@ -655,12 +657,14 @@ def _multiplier_start(
         weights = tuple(shares)
         if done:
             break
+    if abs(sum(weights) - 1.0) > 1e-9:
+        return None
     return weights, lam / _LN2
 
 
-# a zero rate is certified when the bound stays this many bits per round below
-# 0, far above the roundoff of any length term (each is at most a few bits
-# per round wherever the net length is near 0)
+# a level is certified when the bound stays this many bits per round below it,
+# far above the roundoff of any length term (each is at most a few bits per
+# round wherever the net length is near the level)
 _ZERO_SLACK = 1e-9
 # the interval split at which the certificate gives up and certifies nothing
 _ZERO_MAX_SPLITS = 200
@@ -736,19 +740,19 @@ def _certified_zero(
     target: float,
     p_min: float,
     p_max: float,
+    level: float = 0.0,
 ) -> bool:
-    """True when no budget split and no p in [p_min, p_max] has a positive net length.
+    """True when no budget split and no p in [p_min, p_max] reaches ``level`` bits.
 
     Depth-first bisection over intervals of m = floor(L p) with
     ``_length_bound``: an interval is settled once its bound is
-    ``_ZERO_SLACK`` bits per round below 0, and split at the geometric mean
-    of its ends otherwise.  The bounds alone fix which intervals are split,
-    so the verdict does not depend on the order they are visited in.
-    Nothing is certified for a target exponent that is negative or not
-    finite, when the floor point is vacuous (eps_rob >= 1) or its box is
-    empty, when the core at the floor exponents comes within the slack of 0
-    at a concrete p (one per unsettled interval), when an interval of one m
-    stays unsettled, or at the ``_ZERO_MAX_SPLITS``-th split.
+    ``_ZERO_SLACK`` bits per round below the level, and split at the
+    geometric mean of its ends otherwise, in an order that cannot change the
+    verdict.  Nothing is certified for a target exponent that is negative or
+    not finite, when the floor point is vacuous (eps_rob >= 1) or its box is
+    empty, when the core at the floor exponents comes within the slack of
+    the level at a concrete p (one per unsettled interval), when an interval
+    of one m stays unsettled, or at the ``_ZERO_MAX_SPLITS``-th split.
     """
     if not 0.0 <= target < math.inf:
         return False
@@ -756,7 +760,7 @@ def _certified_zero(
     if _rob(neg_pe, parties) <= 0.0:
         return False
     length = _length_core(kind, parties, total_rounds)
-    slack = _ZERO_SLACK * total_rounds
+    limit = level - _ZERO_SLACK * total_rounds
     m_min = 2 if kind is Protocol.N_SIX_STATE else 1
     # p >= p_min gives m >= m_min; n >= 1 and p <= p_max (up to exp/log
     # roundoff) cap m from above
@@ -767,12 +771,12 @@ def _certified_zero(
         bound = _length_bound(kind, parties, total_rounds, stats, negs, neg_pe, p_min, lo, hi)
         if bound is None:
             return False
-        if bound < -slack:
+        if bound < limit:
             continue
         mid = math.isqrt(lo * hi)
         p = min(max((mid + 0.5) / total_rounds, p_min), p_max)
         splits += 1
-        if length(p, stats, negs, neg_pe)[2] >= -slack or lo == hi or splits == _ZERO_MAX_SPLITS:
+        if length(p, stats, negs, neg_pe)[2] >= limit or lo == hi or splits == _ZERO_MAX_SPLITS:
             return False
         stack += [(mid + 1, hi), (lo, mid)]
     return True

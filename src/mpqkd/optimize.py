@@ -27,7 +27,9 @@ they would.  The optimum is plain data (rate, shares, evaluations); its key
 length is ``key_length_*`` of ``allocate_budget`` at those shares.
 
 Before searching, ``finite_key._certified_zero`` may prove a zero rate;
-then the equal-shares start is scored alone.
+then the equal-shares start is scored alone.  ``threshold_L`` also runs it
+at N-BB84's key length, and stops a six-state search once it reaches
+N-BB84, so each verdict searches at most one optimum to the end.
 """
 
 from __future__ import annotations
@@ -315,20 +317,41 @@ def optimize_rate(
     ``search_config.max_evaluations`` caps it.  A ``warm`` without one
     weight per budget component raises ValueError.
     """
-    cfg = search_config or SearchConfig()
-    n_weights = len(budget_components(kind))
-    if warm is not None:
-        _check_weights(kind, warm.weights)
+    return _optimum(kind, parties, total_rounds, stats, eps_tot_target, search_config, warm)
+
+
+def _p_range(kind: Protocol, parties: int, total_rounds: int) -> Tuple[int, float, float]:
+    """(m_min, p_min, p_max) of a search; ConfigurationError where L is too
+    small for the round bookkeeping."""
     m_min = 2 if kind is Protocol.N_SIX_STATE else 1
     p_max = 0.4999
-    # parties, L and the statistics are the same at every point: check once
     ProtocolConfig(kind, parties, total_rounds, p_max)
-    _check_stats(kind, parties, stats)
     p_min = (m_min + 0.5) / total_rounds
     if p_min >= p_max:
         raise ConfigurationError(
             f"L = {total_rounds} is too small for {kind.value} round bookkeeping"
         )
+    return m_min, p_min, p_max
+
+
+def _optimum(
+    kind: Protocol,
+    parties: int,
+    total_rounds: int,
+    stats: ObservedStats,
+    eps_tot_target: LogEps,
+    search_config: Optional[SearchConfig],
+    warm: Optional[BudgetShares],
+    stop: float = math.inf,
+) -> OptimizedRate:
+    """``optimize_rate``, its search stopped once the best rate reaches ``stop``."""
+    cfg = search_config or SearchConfig()
+    n_weights = len(budget_components(kind))
+    if warm is not None:
+        _check_weights(kind, warm.weights)
+    # parties, L and the statistics are the same at every point: check once
+    m_min, p_min, p_max = _p_range(kind, parties, total_rounds)
+    _check_stats(kind, parties, stats)
 
     target = eps_tot_target.neg_log2
     score = _scorer(kind, parties, total_rounds, stats, target)
@@ -350,8 +373,9 @@ def optimize_rate(
         nonlocal best, evaluations, start
         if k in scored:
             return scored[k]
-        # past the cap, every new point reads as one with no key length
-        if evaluations >= cfg.max_evaluations:
+        # past the cap, or once the best reaches the stop, every new point
+        # reads as one with no key length
+        if evaluations >= cfg.max_evaluations or max(best[0], 0.0) / total_rounds >= stop:
             return -math.inf
         m = m_min * k
         solved = _multiplier_start(kind, parties, total_rounds, stats, split, m, start)
@@ -444,9 +468,11 @@ def threshold_L(
     ``l_max``.  Frequencies are derived from Q_AB via the global-depolarizing
     relations.
 
-    One verdict per L: each L's rates are optimized once, and the N-BB84
-    optimum only where the six-state rate is positive.  The first optimum
-    of each protocol starts cold; every later one is
+    One verdict per L: a certified zero six-state rate is not crossed, nor
+    is a zero N-BB84 rate or a six-state rate certified below it (at the
+    level r_BB84 L bits); elsewhere the six-state search stops once it
+    reaches r_BB84, as the full search, only adding points, would too.  The
+    first optimum of each protocol starts cold; every later one is
     warm-started (``optimize_rate``'s ``warm``) from the previous optimum of
     the same protocol, since the optimal shares and log p move smoothly
     with log L.
@@ -454,23 +480,30 @@ def threshold_L(
     if l_min < 1:
         raise ValueError(f"l_min must be at least 1, got {l_min}")
     stats = stats_from_qab_global(q_ab, parties)
+    bb84, six = Protocol.N_BB84, Protocol.N_SIX_STATE
     warm: Dict[Protocol, BudgetShares] = {}
     verdicts: Dict[int, bool] = {}
 
-    def rate(kind: Protocol, total_rounds: int) -> float:
-        search = (kind, parties, total_rounds, stats, eps_tot_target, search_config)
-        try:
-            opt = optimize_rate(*search, warm=warm.get(kind))
-        except ConfigurationError:  # L too small for the round bookkeeping: not crossed
-            return 0.0
-        warm[kind] = opt.shares
-        return opt.rate
+    def verdict(total_rounds: int) -> bool:
+        search = (parties, total_rounds, stats, eps_tot_target, search_config)
+        try:  # an L too small for the round bookkeeping is not crossed
+            _, p_min, p_max = _p_range(six, parties, total_rounds)
+            certificate = (six, parties, total_rounds, stats, eps_tot_target.neg_log2, p_min, p_max)
+            if _certified_zero(*certificate):
+                return False
+            opt = optimize_rate(bb84, *search, warm=warm.get(bb84))
+            warm[bb84], r_bb84 = opt.shares, opt.rate
+            if r_bb84 == 0.0 or _certified_zero(*certificate, r_bb84 * total_rounds):
+                return False
+            opt = _optimum(six, *search, warm.get(six), r_bb84)
+        except ConfigurationError:
+            return False
+        warm[six] = opt.shares
+        return opt.rate >= r_bb84
 
     def crossed(total_rounds: int) -> bool:
         if total_rounds not in verdicts:
-            # a zero six-state rate settles the verdict without the N-BB84 optimum
-            r6 = rate(Protocol.N_SIX_STATE, total_rounds)
-            verdicts[total_rounds] = r6 > 0.0 and 0.0 < rate(Protocol.N_BB84, total_rounds) <= r6
+            verdicts[total_rounds] = verdict(total_rounds)
         return verdicts[total_rounds]
 
     return _threshold_from_curve(crossed, l_min, l_max)

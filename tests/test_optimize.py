@@ -33,7 +33,12 @@ from mpqkd.optimize import (
     stats_from_qab_global,
     threshold_L,
 )
-from test_zero_certificate import LOG_WEIGHTS, key_length_at, log_uniform_shares
+from test_zero_certificate import (
+    LOG_WEIGHTS,
+    key_length_at,
+    log_uniform_shares,
+    recording_scorer,
+)
 
 TARGET = LogEps.from_eps(5e-9)
 FAST = SearchConfig(max_evaluations=600, starts=3, seed=11)
@@ -179,6 +184,32 @@ class TestOptimizeRate:
         assert a.rate == b.rate
         assert a.shares == b.shares
         assert a.evaluations == b.evaluations
+
+    @pytest.mark.parametrize("kind", list(Protocol))
+    @pytest.mark.parametrize("total_rounds", [10**8, 1805811301, 10**12])
+    def test_stopped_search_scores_a_prefix_of_the_full_one(self, kind, total_rounds):
+        # stopped at a rate, the search scores the full search's points up to
+        # the first whose rate reaches it, a tie included, and no more
+        stats = stats_from_qab_global(0.05, 2)
+        search = (kind, 2, total_rounds, stats, TARGET, FAST)
+
+        def stopped_at(stop):
+            scored = []
+            with mock.patch.object(optimize, "_scorer", recording_scorer(scored)):
+                opt = optimize._optimum(*search, None, stop)
+            return opt, scored
+
+        full, every = stopped_at(math.inf)
+        assert full == optimize_rate(*search)
+        rates = [max(value, 0.0) / total_rounds for value in every]
+        bests = sorted({max(rates[: i + 1]) for i in range(len(rates))})
+        assert len(bests) > 1
+        for stop in bests + [math.nextafter(full.rate, 1.0)]:
+            opt, scored = stopped_at(stop)
+            reached = [i for i, rate in enumerate(rates) if rate >= stop]
+            assert scored == (every[: reached[0] + 1] if reached else every), stop
+            assert opt.rate == max(rates[: len(scored)])
+            assert opt.evaluations == len(scored)
 
     def test_optimum_is_plain_slotted_data(self):
         # every kept optimum costs its fields alone, with no instance dict
@@ -456,31 +487,42 @@ class TestThresholdL:
             threshold_L(0.05, 2, TARGET, l_min=0)
 
     def test_nbb84_optimized_only_where_six_state_is_positive(self, monkeypatch):
-        # synthetic optima against a flat N-BB84 rate of 0.45 from L = 2^8
+        # synthetic optima against a flat N-BB84 rate of 0.45 from L = 2^8,
+        # and a certificate that places the six-state rate below a level
+        # wherever it is zero or more than 0.1 below the level per round
         def bb84(total):
             return 0.45 if total >= 2**8 else 0.0
 
         curves = [
-            # six-state is zero below 2^14 and overtakes N-BB84 at L = 163840
+            # six-state is zero below 2^14, certified below N-BB84 up to
+            # about 54613 and overtakes it at L = 163840
             (lambda total: max(0.0, 0.5 * (1.0 - 2**14 / total)), 163840),
             # six-state is positive, and ahead, where ``spurious`` is crossed
             (lambda total: 0.5 if spurious(total) else 0.0, 10**6),
             # crossed from 2^9, below the scan start, so verifying 512 asks
             # for the verdict at 1024 a second time
             (lambda total: 0.5 if total >= 2**9 else 0.0, 512),
+            # six-state equals N-BB84 from L = 3000: a tie is crossed
+            (lambda total: 0.45 if total >= 3000 else 0.0, 3000),
         ]
         for six, step in curves:
-            calls = []
-            hints = []
+            calls, hints, stops, levels = [], [], [], []
 
-            def fake_optimize_rate(kind, parties, total, stats, target, config, *, warm=None):
+            def fake_certified_zero(kind, parties, total, stats, target, p_min, p_max, level=0.0):
+                assert kind is Protocol.N_SIX_STATE
+                levels.append((total, level))
+                return six(total) == 0.0 or six(total) + 0.1 < level / total
+
+            def fake_optimum(kind, parties, total, stats, target, config, warm, stop=math.inf):
                 calls.append((kind, total))
                 hints.append(warm)
+                stops.append(stop)
                 rate = six(total) if kind is Protocol.N_SIX_STATE else bb84(total)
                 # the shares stand for the optimum they came from
                 return SimpleNamespace(rate=rate, shares=(kind, total))
 
-            monkeypatch.setattr(optimize, "optimize_rate", fake_optimize_rate)
+            monkeypatch.setattr(optimize, "_certified_zero", fake_certified_zero)
+            monkeypatch.setattr(optimize, "_optimum", fake_optimum)
             lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)
 
             probed = []
@@ -491,12 +533,25 @@ class TestThresholdL:
 
             assert lbar == _threshold_from_curve(eager, 1024, 10**14)
             assert step <= lbar <= 1.01 * step
-            assert len(calls) == len(set(calls))  # each (protocol, L) optimized once
+            assert len(calls) == len(set(calls))  # each (protocol, L) optimized at most once
             six_probed = [t for kind, t in calls if kind is Protocol.N_SIX_STATE]
             bb84_probed = [t for kind, t in calls if kind is Protocol.N_BB84]
-            assert set(six_probed) == set(probed)
+            # N-BB84 wherever six-state is not a certified zero, and the
+            # six-state search, stopped at N-BB84's rate, wherever N-BB84 is
+            # positive and six-state is not certified below it
             assert set(bb84_probed) == {t for t in probed if six(t) > 0.0}
-            assert len(bb84_probed) < len(six_probed)
+            below = {t for t in bb84_probed if six(t) + 0.1 < bb84(t)}
+            assert set(six_probed) == {t for t in bb84_probed if bb84(t) > 0.0} - below
+            assert len(six_probed) + len(below) == len(bb84_probed)
+            assert all(
+                stop == (math.inf if kind is Protocol.N_BB84 else bb84(total))
+                for (kind, total), stop in zip(calls, stops)
+            )
+            assert levels == [
+                (t, level)
+                for t in dict.fromkeys(probed)
+                for level in ((0.0, bb84(t) * t) if six(t) > 0.0 and bb84(t) > 0.0 else (0.0,))
+            ]
 
             # every optimum after the first of a protocol starts from the
             # previous optimum of that protocol
@@ -506,22 +561,46 @@ class TestThresholdL:
             assert hints.count(None) == 2
 
     def test_deterministic(self, monkeypatch):
-        inner = optimize.optimize_rate
+        # every optimum the scan searches, N-BB84's and six-state's alike
+        inner = optimize._optimum
         probes = []
 
-        def recorded(kind, parties, total, *args, **kwargs):
-            opt = inner(kind, parties, total, *args, **kwargs)
-            probes.append((kind, total, kwargs["warm"], opt.rate, opt.shares, opt.evaluations))
+        def recorded(kind, parties, total, *args):
+            opt = inner(kind, parties, total, *args)
+            probes.append((kind, total, *args[3:], opt.rate, opt.shares, opt.evaluations))
             return opt
 
-        monkeypatch.setattr(optimize, "optimize_rate", recorded)
+        monkeypatch.setattr(optimize, "_optimum", recorded)
         runs = []
         for _ in range(2):
             probes.clear()
             lbar = threshold_L(0.05, 2, TARGET, l_min=2**22, search_config=FAST)
             runs.append((lbar, list(probes)))
         assert runs[0][0] is not None
+        assert {kind for kind, *_ in runs[0][1]} == set(Protocol)
         assert runs[0] == runs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @example(q_ab=0.05, parties=2, log10_rounds=math.log10(1805811301))
+    @example(q_ab=0.05, parties=2, log10_rounds=math.log10(1796058879))
+    @example(q_ab=0.05, parties=2, log10_rounds=math.log10(1786359125))
+    @example(q_ab=0.05, parties=2, log10_rounds=27 * math.log10(2.0))
+    @given(
+        q_ab=st.floats(0.005, 0.11),
+        parties=st.integers(2, 6),
+        log10_rounds=st.floats(6.0, 13.0),
+    )
+    def test_verdict_is_that_of_both_full_optima(self, q_ab, parties, log10_rounds):
+        # one verdict from cold starts, against both full cold optima
+        total_rounds = int(round(10.0**log10_rounds))
+        stats = stats_from_qab_global(q_ab, parties)
+        r6, rb = (
+            optimize_rate(kind, parties, total_rounds, stats, TARGET, FAST).rate
+            for kind in (Protocol.N_SIX_STATE, Protocol.N_BB84)
+        )
+        with mock.patch.object(optimize, "_threshold_from_curve", lambda crossed, *_: crossed):
+            crossed = threshold_L(q_ab, parties, TARGET, search_config=FAST)
+        assert crossed(total_rounds) == (r6 > 0.0 and 0.0 < rb <= r6), (r6, rb)
 
     def test_crossover_exists_and_orders(self):
         lbar = threshold_L(0.05, 2, TARGET, search_config=FAST)

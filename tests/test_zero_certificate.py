@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import mpqkd.finite_key as finite_key
 import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
+    ConfigurationError,
     Protocol,
     ProtocolConfig,
     _length_core,
@@ -55,16 +56,35 @@ def key_length_at(kind, parties, total_rounds, stats, target, opt):
 
 
 def p_range(kind, total_rounds):
-    """``optimize_rate``'s p range: (p_min, p_max)."""
-    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
-    return (m_min + 0.5) / total_rounds, P_MAX
+    """``optimize_rate``'s p range (p_min, p_max), or None where L is too
+    small for its round bookkeeping."""
+    try:
+        return optimize._p_range(kind, 2, total_rounds)[1:]
+    except ConfigurationError:
+        return None
 
 
-def certified(kind, parties, total_rounds, stats, target):
+def certified(kind, parties, total_rounds, stats, target, level=0.0):
     p_min, p_max = p_range(kind, total_rounds)
     return finite_key._certified_zero(
-        kind, parties, total_rounds, stats, target.neg_log2, p_min, p_max
+        kind, parties, total_rounds, stats, target.neg_log2, p_min, p_max, level
     )
+
+
+def recording_scorer(scored):
+    """``optimize._scorer`` whose scores are also appended to ``scored``."""
+    inner = optimize._scorer
+
+    def scorer(*args):
+        score = inner(*args)
+
+        def recorded(weights, p):
+            scored.append(score(weights, p))
+            return scored[-1]
+
+        return recorded
+
+    return scorer
 
 
 def core_net(kind, parties, total_rounds, p, stats, negs, neg_pe):
@@ -134,9 +154,10 @@ class TestBound:
         self, kind, parties, log10_rounds, q_ab, target_neg, u_p, u_lo, u_hi, log_weights
     ):
         total_rounds = int(round(10.0**log10_rounds))
-        p_min, p_max = p_range(kind, total_rounds)
-        if p_min >= p_max:
+        p_bounds = p_range(kind, total_rounds)
+        if p_bounds is None:
             return
+        p_min, p_max = p_bounds
         # p as optimize_rate sets it from log p
         lp_lo, lp_hi = math.log(p_min), math.log(p_max)
         p = math.exp(lp_lo + u_p * (lp_hi - lp_lo))
@@ -198,8 +219,7 @@ class TestVerdict:
         self, kind, parties, log10_rounds, q_ab, target_neg
     ):
         total_rounds = int(round(10.0**log10_rounds))
-        p_min, p_max = p_range(kind, total_rounds)
-        if p_min >= p_max:
+        if p_range(kind, total_rounds) is None:
             return
         stats = stats_from_qab_global(q_ab, parties)
         target = LogEps(target_neg)
@@ -210,6 +230,68 @@ class TestVerdict:
             opt = optimize_rate(kind, parties, total_rounds, stats, target, search)
         assert opt.rate == 0.0
         assert opt.evaluations > 1  # the search ran
+
+    @settings(max_examples=60, deadline=None)
+    @example(  # certified below N-BB84 in the threshold scan of q = 0.05, N = 2
+        kind=Protocol.N_SIX_STATE,
+        parties=2,
+        log10_rounds=27 * math.log10(2.0),
+        q_ab=0.05,
+        target_neg=TARGET.neg_log2,
+        u_level=1.0,
+    )
+    @example(  # searched in full, a multiplier solve here misses sum w = 1 by 1.4e-9
+        kind=Protocol.N_SIX_STATE,
+        parties=7,
+        log10_rounds=6.34375,
+        q_ab=0.07421875,
+        target_neg=5.0,
+        u_level=0.0,
+    )
+    @given(
+        kind=st.sampled_from(list(Protocol)),
+        parties=st.integers(2, 10),
+        log10_rounds=st.floats(6.0, 15.0),
+        q_ab=st.floats(0.005, 0.08),
+        target_neg=st.floats(5.0, 100.0),
+        u_level=st.floats(0.0, 1.0),
+    )
+    def test_certified_level_survives_a_full_search(
+        self, kind, parties, log10_rounds, q_ab, target_neg, u_level
+    ):
+        # a level between 0 and the N-BB84 optimum at the same point, as the
+        # threshold search asks of the six-state rate
+        total_rounds = int(round(10.0**log10_rounds))
+        if p_range(kind, total_rounds) is None:
+            return
+        stats = stats_from_qab_global(q_ab, parties)
+        target = LogEps(target_neg)
+        search = SearchConfig(400, 3, 0)
+        r_bb84 = optimize_rate(Protocol.N_BB84, parties, total_rounds, stats, target, search).rate
+        level = u_level * r_bb84 * total_rounds
+        if not certified(kind, parties, total_rounds, stats, target, level):
+            return
+        scored = []
+        with mock.patch.object(optimize, "_certified_zero", return_value=False):
+            with mock.patch.object(optimize, "_scorer", recording_scorer(scored)):
+                opt = optimize_rate(kind, parties, total_rounds, stats, target, search)
+        assert opt.evaluations == len(scored) > 1  # the search ran
+        assert max(scored) < level, (max(scored), level)
+
+    @pytest.mark.parametrize("level", [0.0, 1e6])
+    def test_level_is_settled_only_past_the_slack(self, level):
+        # a bound inside the slack below the level settles nothing, so the
+        # bisection splits down to one m; one just past it settles at once
+        kind, parties, total_rounds = Protocol.N_SIX_STATE, 2, 10**9
+        stats = stats_from_qab_global(0.05, parties)
+        slack = finite_key._ZERO_SLACK * total_rounds
+        # a core far below every level, so the bounds alone decide
+        with mock.patch.object(finite_key, "_length_core", lambda *a: lambda *b: (0, 0, -1e300)):
+            for gap, holds in ((0.5 * slack, False), (1.5 * slack, True)):
+                bound = mock.Mock(return_value=level - gap)
+                with mock.patch.object(finite_key, "_length_bound", bound):
+                    assert certified(kind, parties, total_rounds, stats, TARGET, level) is holds
+                    assert (bound.call_count == 1) is holds
 
     def test_certified_optimum_is_the_equal_shares_point(self):
         kind, parties, total_rounds = Protocol.N_SIX_STATE, 5, 31622777
@@ -299,21 +381,57 @@ class TestPinnedVerdicts:
 
     def test_threshold_scan(self):
         # threshold_L(0.05, 2, 5e-9) at SearchConfig(1000, 3, 5) from L = 2^20:
-        # the certificate holds exactly at its zero optima, four six-state ones
+        # the step that settles each verdict (a certified zero six-state rate,
+        # a six-state rate certified below N-BB84, or the six-state search)
         stats = stats_from_qab_global(0.05, 2)
-        inner = optimize.optimize_rate
-        optima = []
+        certificate, optimum = optimize._certified_zero, optimize._optimum
+        searching, steps, optima = [], {}, []
 
-        def recorded(kind, parties, total_rounds, *args, **kwargs):
-            opt = inner(kind, parties, total_rounds, *args, **kwargs)
-            holds = certified(kind, parties, total_rounds, stats, TARGET)
-            optima.append((kind, total_rounds, opt.rate, holds))
+        def recorded_certificate(kind, parties, total_rounds, *args):
+            holds = certificate(kind, parties, total_rounds, *args)
+            if not searching:  # the threshold search's own certificates
+                assert kind is Protocol.N_SIX_STATE
+                level = args[-1] if len(args) == 5 else 0.0
+                if holds:
+                    steps[total_rounds] = "zero" if level == 0.0 else "below"
+            return holds
+
+        def recorded_optimum(kind, parties, total_rounds, *args):
+            searching.append(kind)
+            try:
+                opt = optimum(kind, parties, total_rounds, *args)
+            finally:
+                searching.pop()
+            optima.append((kind, total_rounds, opt.rate, opt.evaluations))
+            if kind is Protocol.N_SIX_STATE:
+                steps[total_rounds] = "search"
             return opt
 
-        with mock.patch.object(optimize, "optimize_rate", recorded):
-            lbar = threshold_L(0.05, 2, TARGET, l_min=2**20, search_config=SearchConfig(1000, 3, 5))
+        with mock.patch.object(optimize, "_certified_zero", recorded_certificate):
+            with mock.patch.object(optimize, "_optimum", recorded_optimum):
+                lbar = threshold_L(
+                    0.05, 2, TARGET, l_min=2**20, search_config=SearchConfig(1000, 3, 5)
+                )
         assert lbar == 1805811301
-        assert all(holds == (rate == 0.0) for _, _, rate, holds in optima), optima
-        zeros = [L for kind, L, rate, _ in optima if rate == 0.0]
-        assert len(zeros) == 4
-        assert all(kind is Protocol.N_SIX_STATE for kind, _, rate, _ in optima if rate == 0.0)
+
+        def settled_by(step):
+            return sorted(L for L, how in steps.items() if how == step)
+
+        assert settled_by("zero") == [2**20, 2**21, 2**22, 2**23]
+        assert settled_by("below") == sorted(
+            [2**i for i in range(24, 31)] + [1518500250, 1655936264, 1729250826, 1767116488]
+        )
+        searched = [1786359125, 1796058879, 1805811301, 2**31, 3611622602, 7223245204]
+        assert settled_by("search") == searched
+        # one N-BB84 optimum wherever six-state is not a certified zero, each
+        # positive and not a certified zero itself
+        bb84 = {L: rate for kind, L, rate, _ in optima if kind is Protocol.N_BB84}
+        assert sorted(bb84) == sorted(settled_by("below") + searched)
+        assert all(rate > 0.0 for _, _, rate, _ in optima), optima
+        assert not any(certified(kind, 2, L, stats, TARGET) for kind, L, _, _ in optima)
+        # the six-state searches: the crossed ones reach N-BB84, and three
+        # stop at their second point
+        six = {L: (rate, n) for kind, L, rate, n in optima if kind is Protocol.N_SIX_STATE}
+        crossed = {L for L, (rate, _) in six.items() if rate >= bb84[L]}
+        assert crossed == set(searched) - {1786359125, 1796058879}
+        assert {L for L, (_, n) in six.items() if n == 2} == {1805811301, 3611622602, 7223245204}
