@@ -19,9 +19,9 @@ eps_PE / eps_tot compositions (``neg_log2`` exponents in, both exponents
 out, each a fixed-arity log-sum-exp), the Gamma_PE corner and the
 key-length terms.  The two key lengths differ only in their min-entropy,
 leakage and postselection terms; one shared tail adds the EC and PA terms,
-handles a vacuous eps_rob and sums.  ``_composer`` and ``_length_core`` bind
-what depends only on N and L (log2(N-1), the postselection bits), so the
-rate optimizer scores each candidate point through these cores alone.  The
+handles a vacuous eps_rob and sums.  ``_composer``, ``_splitter`` (budget
+weights to exponents) and ``_length_core`` bind what depends only on N and
+L, so the rate optimizer scores each point through these cores alone.  The
 public functions validate their arguments, call the same cores and wrap the
 results in ``LogEps``, ``KeyLengthResult`` and friends, so objects are built
 only for the points a caller asks about.
@@ -34,10 +34,10 @@ m = floor(L p), bound the net length there (``_length_bound``); bisection
 over m covers p with no grid.  At small L this proves most zero-rate
 optima, and away from the crossover most six-state rates below N-BB84's.
 
-``_multiplier_start`` gives the rate optimizer its weights at each m: the
-budget weights where the key length is stationary on sum w = 1, solved with
-one multiplier, in closed form, from the terms' exact slopes in their own
-exponents (``_slopes``), or where it sits at an edge of the simplex.
+``_multiplier``, set up once per optimum, gives the rate optimizer its
+weights at each m: where the key length is stationary on sum w = 1, solved
+with one multiplier, in closed form, from the terms' exact slopes in their
+own exponents (``_slopes``), or where it sits at an edge of the simplex.
 """
 
 from __future__ import annotations
@@ -122,6 +122,20 @@ def _counts(kind: Protocol, total_rounds: int, p: float) -> Tuple[int, int, int]
     if kind is Protocol.N_SIX_STATE and m_prime < 1:
         raise ConfigurationError(f"no accepted X-parity rounds: m' = {m_prime}")
     return m, n, m_prime
+
+
+def _p_range(kind: Protocol, parties: int, total_rounds: int) -> Tuple[int, float, float]:
+    """(m_min, p_min, p_max) of a rate search; ConfigurationError where L is
+    too small for the round bookkeeping."""
+    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
+    p_max = 0.4999
+    ProtocolConfig(kind, parties, total_rounds, p_max)
+    p_min = (m_min + 0.5) / total_rounds
+    if p_min >= p_max:
+        raise ConfigurationError(
+            f"L = {total_rounds} is too small for {kind.value} round bookkeeping"
+        )
+    return m_min, p_min, p_max
 
 
 def _check_stats(kind: Protocol, parties: int, stats: ObservedStats) -> None:
@@ -236,6 +250,60 @@ def epsilon_total_nsixstate(budget: SecurityBudget, parties: int, total_rounds: 
     negs = _negs(budget, Protocol.N_SIX_STATE)
     ps_bits = postselection_bits(parties, total_rounds)
     return LogEps(_compose_nsixstate(negs, math.log2(parties - 1), ps_bits)[1])
+
+
+def _splitter(
+    kind: Protocol, parties: int, total_rounds: int, target: float
+) -> Callable[[Tuple[float, ...]], Tuple[List[float], float, float]]:
+    """``allocate_budget`` on exponents, as a function of the weights: the
+    components in ``budget_components(kind)`` order, eps_PE and eps_tot.
+
+    The composition (``_composer``) and the six-state inner exponent are
+    computed once.
+    """
+    bb84 = kind is Protocol.N_BB84
+    composed = _composer(kind, parties, total_rounds)
+    neg_inner = target + (0.0 if bb84 else postselection_bits(parties, total_rounds))
+    scale = (2.0, 2.0, 1.0, 1.0) if bb84 else (1.0,) * 6
+
+    def split(weights: Tuple[float, ...]) -> Tuple[List[float], float, float]:
+        if bb84:
+            w_z, w_x, w_ec, w_pa = weights
+            pair = w_z + w_x
+            neg_pe = target - math.log2(pair / 2.0)
+            negs = [
+                2.0 * neg_pe - math.log2(w_z / (pair * (parties - 1))),
+                2.0 * neg_pe - math.log2(w_x / pair),
+                target - math.log2(w_ec),
+                target - math.log2(w_pa),
+            ]
+        else:
+            w_bar, w_z, w_x, w_zp, w_ec, w_pa = weights
+            negs = [
+                neg_inner - math.log2(w_bar / 2.0),
+                neg_inner - math.log2(w_z / (parties - 1)),
+                neg_inner - math.log2(w_x),
+                neg_inner - math.log2(w_zp),
+                neg_inner - math.log2(w_ec),
+                neg_inner - math.log2(w_pa),
+            ]
+        # the split as made, then after each of up to 6 correction passes
+        for _ in range(7):
+            neg_pe, neg_tot = composed(negs)
+            deficit = target - neg_tot
+            if deficit <= 0.0:
+                return negs, neg_pe, neg_tot
+            # large six-state exponents make tiny bumps vanish in rounding, so
+            # step by at least a few ULPs of the biggest component (ULPs grow
+            # with magnitude)
+            bump = deficit + 4.0 * math.ulp(max(map(abs, negs)))
+            negs = [v + c * bump for v, c in zip(negs, scale)]
+        raise ValueError(
+            f"composed eps_tot exceeds the target by {deficit:.3g} bits "
+            "after 6 correction passes"
+        )
+
+    return split
 
 
 @dataclass(frozen=True)
@@ -554,7 +622,7 @@ def _slopes(
     return [*a, 1.0, 2.0], a_pe
 
 
-# rounds of the multiplier start, and its convergence in log weight
+# rounds of a multiplier solve, and its convergence in log weight
 _MULTIPLIER_ROUNDS = 50
 _MULTIPLIER_TOL = 1e-10
 # the weight of a share with no slope, and eps_rob's least distance below 1
@@ -571,25 +639,24 @@ def _onto_edge(weights: Tuple[float, ...], group: Tuple[int, ...], cap: float) -
     )
 
 
-def _multiplier_start(
+def _multiplier(
     kind: Protocol,
     parties: int,
     total_rounds: int,
     stats: ObservedStats,
-    split: Callable[[Tuple[float, ...]], Tuple[List[float], float, float]],
-    m: int,
+    target: float,
     start: Optional[Tuple[float, ...]] = None,
-) -> Optional[Tuple[Tuple[float, ...], float]]:
-    """Budget weights where the key length at m test rounds is stationary on
-    sum w = 1, and the multiplier lambda there: (weights, lambda), or None.
+) -> Callable[[int], Tuple[Tuple[float, ...], Optional[float]]]:
+    """The rate optimizer's weights at each m, for one optimum: ``solve(m)``
+    gives the budget weights where the key length at m test rounds is
+    stationary on sum w = 1, and the multiplier lambda there.
 
-    ``split`` maps weights to (component exponents, eps_PE exponent, eps_tot
-    exponent), as ``allocate_budget`` does.  Every component exponent falls
-    by log2 of its own weight, and eps_PE's by log2 of the sum s of its
-    group's weights (N-BB84's z and x, six-state's z, x and z').  For
-    N-BB84, eps_z and eps_x are shares of eps_PE^2, so their exponents also
-    fall by log2 s.  With a_i and a_pe from ``_slopes``, the stationarity
-    condition dl/dw_i = lambda reads
+    Every component exponent of the split (``_splitter``) falls by log2 of
+    its own weight, and eps_PE's by log2 of the sum s of its group's weights
+    (N-BB84's z and x, six-state's z, x and z').  For N-BB84, eps_z and eps_x
+    are shares of eps_PE^2, so their exponents also fall by log2 s.  With
+    a_i and a_pe from ``_slopes``, the stationarity condition dl/dw_i =
+    lambda reads
 
         a_i / w_i + c_i = lambda ln 2,   c_i = (a_pe + [a_z + a_x]) / s
 
@@ -601,9 +668,9 @@ def _multiplier_start(
     (x = A / M where B = 0), whose discriminant (A - M C)^2 + B (B + 2 A +
     2 M C) sums terms >= 0.  Each a_i varies slowly with w_i (as a radius
     over its exponent), so re-evaluating the slopes at the new weights, from
-    ``start`` (equal shares by default), converges fast; so do the eps_PE
-    coupling and six-state's (x, z') pair, whose slopes depend on each other
-    through the box corner.
+    the last m's solution, converges fast; so do the eps_PE coupling and
+    six-state's (x, z') pair, whose slopes depend on each other through the
+    box corner.
 
     Two edges of the simplex hold the optima that have no stationary point:
 
@@ -613,53 +680,63 @@ def _multiplier_start(
     - eps_rob grows in proportion to s, and where (N-1) eps_tot > 1 the PA
       term rises without bound as eps_rob nears 1, so where the solve would
       take eps_rob past 1 - ``_EDGE``, s stops there, split in the solved
-      shares' proportions (a_z : a_x, and EC:PA = 1:2).  That s is one for
-      every m and start, since 20 ULPs of eps_rob there move the PA term by
-      ~0.03 bits.  A start past eps_rob = 1 has no slopes; the solve starts
-      from equal shares instead, moved onto that edge if they are past it too.
+      shares' proportions (a_z : a_x, and EC:PA = 1:2).  That s is set up
+      once per optimum, since 20 ULPs of eps_rob there move the PA term by
+      ~0.03 bits.  So are the first weights, ``start`` or equal shares; a
+      start past eps_rob = 1 has no slopes, so equal shares replace it,
+      moved onto that edge if they are past it too.
 
-    None where a slope is negative or not finite, the box is empty, or an
-    unconverged solve leaves weights that miss sum w = 1 by over 1e-9.
+    Each solve starts from the last weights solved and keeps its own; where
+    a slope is negative or not finite, the box is empty, or an unconverged
+    solve misses sum w = 1 by over 1e-9, it returns (last weights, None).
     """
     bb84 = kind is Protocol.N_BB84
+    split = _splitter(kind, parties, total_rounds, target)
     group = (0, 1) if bb84 else (1, 2, 3)
     size = len(budget_components(kind))
     equal = (1.0 / size,) * size
     # eps_rob at equal shares, and the s where eps_rob = 1 - _EDGE, if any
     e_rob = 2.0 ** -_rob(split(equal)[1], parties)
     cap = (1.0 - _EDGE) * len(group) / size / e_rob if e_rob > 0.0 else math.inf
-    weights = start or equal
-    if _rob(split(weights)[1], parties) <= 0.0:
-        weights = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
-    for _ in range(_MULTIPLIER_ROUNDS):
-        negs, neg_pe, _ = split(weights)
-        got = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
-        if got is None or not all(0.0 <= v < math.inf for v in got[0]):
-            return None
-        a, a_pe = got
-        s = sum(weights[i] for i in group)
-        coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / s
-        mass = 1.0 - _EDGE * a.count(0.0)
-        out = sum(v for i, v in enumerate(a) if i not in group)
-        inside = sum(v for i, v in enumerate(a) if i in group)
-        # the larger root of mass lam^2 - (out + inside + mc) lam + out coupling
-        mc = mass * coupling
-        root = math.sqrt((out - mc) ** 2 + inside * (inside + 2.0 * out + 2.0 * mc))
-        lam = (out + inside + mc + root) / (2.0 * mass) if inside > 0.0 else out / mass
-        shares = [
-            (v / (lam - coupling if i in group else lam) if v > 0.0 else _EDGE)
-            for i, v in enumerate(a)
-        ]
-        if sum(shares[i] for i in group) > cap:
-            shares = _onto_edge(shares, group, cap)
-            lam = a[-1] / shares[-1]  # the PA share, outside the group: c = 0
-        done = all(abs(math.log(u / v)) < _MULTIPLIER_TOL for u, v in zip(shares, weights))
-        weights = tuple(shares)
-        if done:
-            break
-    if abs(sum(weights) - 1.0) > 1e-9:
-        return None
-    return weights, lam / _LN2
+    last = start or equal
+    if _rob(split(last)[1], parties) <= 0.0:
+        last = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
+
+    def solve(m: int) -> Tuple[Tuple[float, ...], Optional[float]]:
+        nonlocal last
+        weights = last
+        for _ in range(_MULTIPLIER_ROUNDS):
+            negs, neg_pe, _ = split(weights)
+            got = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
+            if got is None or not all(0.0 <= v < math.inf for v in got[0]):
+                return last, None
+            a, a_pe = got
+            s = sum(weights[i] for i in group)
+            coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / s
+            mass = 1.0 - _EDGE * a.count(0.0)
+            out = sum(v for i, v in enumerate(a) if i not in group)
+            inside = sum(v for i, v in enumerate(a) if i in group)
+            # the larger root of mass lam^2 - (out + inside + mc) lam + out coupling
+            mc = mass * coupling
+            root = math.sqrt((out - mc) ** 2 + inside * (inside + 2.0 * out + 2.0 * mc))
+            lam = (out + inside + mc + root) / (2.0 * mass) if inside > 0.0 else out / mass
+            shares = [
+                (v / (lam - coupling if i in group else lam) if v > 0.0 else _EDGE)
+                for i, v in enumerate(a)
+            ]
+            if sum(shares[i] for i in group) > cap:
+                shares = _onto_edge(shares, group, cap)
+                lam = a[-1] / shares[-1]  # the PA share, outside the group: c = 0
+            done = all(abs(math.log(u / v)) < _MULTIPLIER_TOL for u, v in zip(shares, weights))
+            weights = tuple(shares)
+            if done:
+                break
+        if abs(sum(weights) - 1.0) > 1e-9:
+            return last, None
+        last = weights
+        return weights, lam / _LN2
+
+    return solve
 
 
 # a level is certified when the bound stays this many bits per round below it,
@@ -675,10 +752,11 @@ def _floors(
 ) -> Tuple[List[float], float]:
     """Exponents that no budget split goes below: (components, eps_PE).
 
-    Every split weight is at most 1.  So for N-BB84 eps_PE is at most
-    eps_tot / 2, eps_x at most eps_PE^2, eps_z at most eps_PE^2 / (N-1), and
-    eps_EC and eps_PA at most eps_tot; for six-state each component and eps_PE
-    are at most the inner sum eps_tot / (L+1)^(2^(2N)-1).
+    Every weight of a split (``_splitter``) is at most 1.  So for N-BB84
+    eps_PE is at most eps_tot / 2, eps_x at most eps_PE^2, eps_z at most
+    eps_PE^2 / (N-1), and eps_EC and eps_PA at most eps_tot; for six-state
+    each component and eps_PE are at most the inner sum eps_tot /
+    (L+1)^(2^(2N)-1).
     """
     if kind is Protocol.N_BB84:
         neg_pe = target + 1.0
@@ -738,11 +816,9 @@ def _certified_zero(
     total_rounds: int,
     stats: ObservedStats,
     target: float,
-    p_min: float,
-    p_max: float,
     level: float = 0.0,
 ) -> bool:
-    """True when no budget split and no p in [p_min, p_max] reaches ``level`` bits.
+    """True when no budget split and no p of ``_p_range`` reaches ``level`` bits.
 
     Depth-first bisection over intervals of m = floor(L p) with
     ``_length_bound``: an interval is settled once its bound is
@@ -753,7 +829,9 @@ def _certified_zero(
     empty, when the core at the floor exponents comes within the slack of
     the level at a concrete p (one per unsettled interval), when an interval
     of one m stays unsettled, or at the ``_ZERO_MAX_SPLITS``-th split.
+    ConfigurationError where L is too small for the round bookkeeping.
     """
+    m_min, p_min, p_max = _p_range(kind, parties, total_rounds)
     if not 0.0 <= target < math.inf:
         return False
     negs, neg_pe = _floors(kind, parties, total_rounds, target)
@@ -761,7 +839,6 @@ def _certified_zero(
         return False
     length = _length_core(kind, parties, total_rounds)
     limit = level - _ZERO_SLACK * total_rounds
-    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
     # p >= p_min gives m >= m_min; n >= 1 and p <= p_max (up to exp/log
     # roundoff) cap m from above
     m_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max) + 1)

@@ -2,28 +2,28 @@
 
 The total security parameter eps_tot is fixed; what remains free is how it
 is divided among the subprotocol epsilons and the probability p of test
-rounds.  The split is parameterized by positive simplex weights, so every
-evaluated point satisfies the composed eps_tot <= target exactly, in the log
-domain; no penalty terms are involved.
+rounds.  The split (``finite_key._splitter``) takes positive simplex
+weights, so every point scored composes to eps_tot <= target exactly.
 
 The search runs over one count.  Within a step of m = floor(L p) only the
 preshared cost L h(p) moves, and it grows with p, so p sits at the left
 edge of its step (``_left_edge``) and the search runs over m, for six-state
 over m' with m = 2 m' (an odd m buys no X-parity round).  At each m the
-weights are the multiplier's (``finite_key._multiplier_start``): where the
-key length there is stationary on sum w = 1, solved from the terms' exact
+weights are the multiplier's (``finite_key._multiplier``): where the key
+length there is stationary on sum w = 1, solved from the terms' exact
 derivatives with no point scored, or where it sits at an edge of the
 simplex (a share with no slope at its least weight, N-BB84's eps_rob just
 short of 1).  eps_EC and eps_PA enter the key length only as -ec - 2 pa and
 eps_tot only through their sum, so there w_PA = 2 w_EC.  One backtracking
 Newton ascent in ln m (``_climb``) converges from the m of p = 0.05, or
 from a warm hint (the optimum at a nearby L; ``threshold_L`` passes the
-previous optimum of the same protocol), each solve started from the last
-one's weights, and each m scored at most once.  The equal-shares point at
-p = 0.05 is always scored first, so the rate never falls below it.  Nothing
-is random.  Each point is scored on plain floats (``_scorer``) through the
-cores that ``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as
-they would.  The optimum is plain data (rate, shares, evaluations); its key
+previous optimum of the same protocol).  The multiplier is set up once per
+optimum and starts each solve from the last one's weights; each m is
+scored at most once.  The equal-shares point at p = 0.05 is always scored
+first, so the rate never falls below it.  Nothing is random.  Each point is
+scored on plain floats (``_scorer``) through the cores that
+``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as they
+would.  The optimum is plain data (rate, shares, evaluations); its key
 length is ``key_length_*`` of ``allocate_budget`` at those shares.
 
 Before searching, ``finite_key._certified_zero`` may prove a zero rate;
@@ -34,22 +34,22 @@ N-BB84, so each verdict searches at most one optimum to the end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .finite_key import (
     ConfigurationError,
     Protocol,
-    ProtocolConfig,
     SecurityBudget,
     _certified_zero,
     _check_stats,
-    _composer,
     _length_core,
-    _multiplier_start,
+    _multiplier,
+    _p_range,
+    _splitter,
     budget_components,
-    postselection_bits,
 )
 from .noise import NoiseModel, NoiseScenario, ObservedStats, expected_observed_stats
 from .numerics import LogEps
@@ -148,60 +148,6 @@ def _check_weights(kind: Protocol, weights: Tuple[float, ...]) -> None:
     size = len(budget_components(kind))
     if len(weights) != size:
         raise ValueError(f"{kind.value} takes {size} budget weights, got {len(weights)}")
-
-
-def _splitter(
-    kind: Protocol, parties: int, total_rounds: int, target: float
-) -> Callable[[Tuple[float, ...]], Tuple[List[float], float, float]]:
-    """``allocate_budget`` on exponents, as a function of the weights: the
-    components in ``budget_components(kind)`` order, eps_PE and eps_tot.
-
-    The composition (``_composer``) and the six-state inner exponent are
-    computed once.
-    """
-    bb84 = kind is Protocol.N_BB84
-    composed = _composer(kind, parties, total_rounds)
-    neg_inner = target + (0.0 if bb84 else postselection_bits(parties, total_rounds))
-    scale = (2.0, 2.0, 1.0, 1.0) if bb84 else (1.0,) * 6
-
-    def split(weights: Tuple[float, ...]) -> Tuple[List[float], float, float]:
-        if bb84:
-            w_z, w_x, w_ec, w_pa = weights
-            pair = w_z + w_x
-            neg_pe = target - math.log2(pair / 2.0)
-            negs = [
-                2.0 * neg_pe - math.log2(w_z / (pair * (parties - 1))),
-                2.0 * neg_pe - math.log2(w_x / pair),
-                target - math.log2(w_ec),
-                target - math.log2(w_pa),
-            ]
-        else:
-            w_bar, w_z, w_x, w_zp, w_ec, w_pa = weights
-            negs = [
-                neg_inner - math.log2(w_bar / 2.0),
-                neg_inner - math.log2(w_z / (parties - 1)),
-                neg_inner - math.log2(w_x),
-                neg_inner - math.log2(w_zp),
-                neg_inner - math.log2(w_ec),
-                neg_inner - math.log2(w_pa),
-            ]
-        # the split as made, then after each of up to 6 correction passes
-        for _ in range(7):
-            neg_pe, neg_tot = composed(negs)
-            deficit = target - neg_tot
-            if deficit <= 0.0:
-                return negs, neg_pe, neg_tot
-            # large six-state exponents make tiny bumps vanish in rounding, so
-            # step by at least a few ULPs of the biggest component (ULPs grow
-            # with magnitude)
-            bump = deficit + 4.0 * math.ulp(max(map(abs, negs)))
-            negs = [v + c * bump for v, c in zip(negs, scale)]
-        raise ValueError(
-            f"composed eps_tot exceeds the target by {deficit:.3g} bits "
-            "after 6 correction passes"
-        )
-
-    return split
 
 
 _CLEAR = 1e3  # stencil second differences aim at this times the roundoff
@@ -308,7 +254,7 @@ def optimize_rate(
     The search is one Newton ascent over the test-round count, from the m
     of p = 0.05 (or of ``warm.p``).  At each m it scores the multiplier's
     shares there: the weights where the key length is stationary on sum w
-    = 1, or sits at an edge of the simplex (``finite_key._multiplier_start``,
+    = 1, or sits at an edge of the simplex (``finite_key._multiplier``,
     EC and PA split 1:2), each solve started from the last one's weights
     (the first from ``warm.weights``, or equal shares).  Where an m has no
     such weights, the last ones are scored there.  Each m is scored at most
@@ -318,20 +264,6 @@ def optimize_rate(
     weight per budget component raises ValueError.
     """
     return _optimum(kind, parties, total_rounds, stats, eps_tot_target, search_config, warm)
-
-
-def _p_range(kind: Protocol, parties: int, total_rounds: int) -> Tuple[int, float, float]:
-    """(m_min, p_min, p_max) of a search; ConfigurationError where L is too
-    small for the round bookkeeping."""
-    m_min = 2 if kind is Protocol.N_SIX_STATE else 1
-    p_max = 0.4999
-    ProtocolConfig(kind, parties, total_rounds, p_max)
-    p_min = (m_min + 0.5) / total_rounds
-    if p_min >= p_max:
-        raise ConfigurationError(
-            f"L = {total_rounds} is too small for {kind.value} round bookkeeping"
-        )
-    return m_min, p_min, p_max
 
 
 def _optimum(
@@ -355,22 +287,19 @@ def _optimum(
 
     target = eps_tot_target.neg_log2
     score = _scorer(kind, parties, total_rounds, stats, target)
-    split = _splitter(kind, parties, total_rounds, target)
     noise = 2.0**-50 * total_rounds  # roundoff, in bits, of terms of about L bits
     # the search runs over k = m, or k = m' with m = 2 m' for six-state
     k_max = min((total_rounds - 1) // 2, math.floor(total_rounds * p_max)) // m_min
     # the equal-shares point at p = 0.05 (as exp(log 0.05)) is the floor
     p0 = math.exp(math.log(min(max(0.05, p_min), p_max)))
     equal = (1.0 / n_weights,) * n_weights
-    certified = _certified_zero(kind, parties, total_rounds, stats, target, p_min, p_max)
+    certified = _certified_zero(kind, parties, total_rounds, stats, target)
     # (net length, weights, p) of the best point so far, the first of equals
     best, evaluations = (score(equal, p0), equal, p0), 1
-    # the weights the next multiplier solve starts from, and each k's value
-    start = None if warm is None else warm.weights
-    scored: Dict[int, float] = {}
+    scored: Dict[int, float] = {}  # each k's value
 
     def f(k: int) -> float:
-        nonlocal best, evaluations, start
+        nonlocal best, evaluations
         if k in scored:
             return scored[k]
         # past the cap, or once the best reaches the stop, every new point
@@ -378,9 +307,7 @@ def _optimum(
         if evaluations >= cfg.max_evaluations or max(best[0], 0.0) / total_rounds >= stop:
             return -math.inf
         m = m_min * k
-        solved = _multiplier_start(kind, parties, total_rounds, stats, split, m, start)
-        start = start if solved is None else solved[0]
-        weights, p = start or equal, _left_edge(total_rounds, m)
+        weights, p = solve(m)[0], _left_edge(total_rounds, m)
         evaluations += 1
         value = scored[k] = score(weights, p)
         if value > best[0]:
@@ -389,6 +316,7 @@ def _optimum(
 
     # too few counts for a central difference in m: the floor alone
     if not certified and k_max >= 3:
+        solve = _multiplier(kind, parties, total_rounds, stats, target, warm and warm.weights)
         k = math.floor(total_rounds * (p0 if warm is None else warm.p)) // m_min
         _climb(f, k, k_max, noise)
 
@@ -481,19 +409,18 @@ def threshold_L(
         raise ValueError(f"l_min must be at least 1, got {l_min}")
     stats = stats_from_qab_global(q_ab, parties)
     bb84, six = Protocol.N_BB84, Protocol.N_SIX_STATE
+    target = eps_tot_target.neg_log2
     warm: Dict[Protocol, BudgetShares] = {}
-    verdicts: Dict[int, bool] = {}
 
     def verdict(total_rounds: int) -> bool:
         search = (parties, total_rounds, stats, eps_tot_target, search_config)
         try:  # an L too small for the round bookkeeping is not crossed
-            _, p_min, p_max = _p_range(six, parties, total_rounds)
-            certificate = (six, parties, total_rounds, stats, eps_tot_target.neg_log2, p_min, p_max)
-            if _certified_zero(*certificate):
+            if _certified_zero(six, parties, total_rounds, stats, target):
                 return False
             opt = optimize_rate(bb84, *search, warm=warm.get(bb84))
             warm[bb84], r_bb84 = opt.shares, opt.rate
-            if r_bb84 == 0.0 or _certified_zero(*certificate, r_bb84 * total_rounds):
+            level = r_bb84 * total_rounds
+            if r_bb84 == 0.0 or _certified_zero(six, parties, total_rounds, stats, target, level):
                 return False
             opt = _optimum(six, *search, warm.get(six), r_bb84)
         except ConfigurationError:
@@ -501,9 +428,4 @@ def threshold_L(
         warm[six] = opt.shares
         return opt.rate >= r_bb84
 
-    def crossed(total_rounds: int) -> bool:
-        if total_rounds not in verdicts:
-            verdicts[total_rounds] = verdict(total_rounds)
-        return verdicts[total_rounds]
-
-    return _threshold_from_curve(crossed, l_min, l_max)
+    return _threshold_from_curve(functools.cache(verdict), l_min, l_max)

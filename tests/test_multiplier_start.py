@@ -1,13 +1,13 @@
-"""The multiplier start of the rate optimizer.
+"""The multiplier of the rate optimizer.
 
 ``finite_key._slopes`` differentiates the key length exactly in each budget
-exponent, and ``_multiplier_start`` solves the stationarity conditions with
+exponent, and ``_multiplier`` solves the stationarity conditions with
 one multiplier lambda on sum w = 1, with a share of slope 0 pinned at its
 edge and N-BB84's eps_rob held short of 1.  The slopes are checked against
 central differences of the key-length core away from the optimum, where a
-step of 1e-3 of an exponent moves the length far above its roundoff; the
-start against its own conditions; and the optimum at eps_rob's edge for
-feasibility and a positive rate.
+step of 1e-3 of an exponent moves the length far above its roundoff; each
+solve against its own conditions; the splits an optimum makes; and the
+optimum at eps_rob's edge for feasibility and a positive rate.
 
 This module imports neither scipy nor mpmath, so it also runs where the
 library's numpy is the only dependency.
@@ -25,7 +25,13 @@ import mpqkd.optimize as optimize
 from mpqkd.finite_key import _EDGE, Protocol, _length_core, _slopes, budget_components
 from mpqkd.numerics import LogEps
 from mpqkd.optimize import BudgetShares, SearchConfig, optimize_rate, stats_from_qab_global
-from test_zero_certificate import LOG_WEIGHTS, P_MAX, key_length_at, log_uniform_shares
+from test_zero_certificate import (
+    LOG_WEIGHTS,
+    P_MAX,
+    key_length_at,
+    log_uniform_shares,
+    rate_curve_rows,
+)
 
 TARGET = LogEps.from_eps(5e-9)
 BB84, SIX = Protocol.N_BB84, Protocol.N_SIX_STATE
@@ -34,15 +40,20 @@ GROUP = {BB84: (0, 1), SIX: (1, 2, 3)}
 
 
 def recorded_start(kind, parties, total_rounds, stats):
-    """The optimum, and the (arguments, result) of each multiplier start it made."""
+    """The optimum, and the (m, weights, lambda) of each multiplier solve it made."""
     starts = []
 
-    def record(*args):
-        got = finite_key._multiplier_start(*args)
-        starts.append((args, got))
-        return got
+    def multiplier(*args):
+        solve = finite_key._multiplier(*args)
 
-    with mock.patch.object(optimize, "_multiplier_start", record):
+        def record(m):
+            weights, lam = solve(m)
+            starts.append((m, weights, lam))
+            return weights, lam
+
+        return record
+
+    with mock.patch.object(optimize, "_multiplier", multiplier):
         opt = optimize_rate(kind, parties, total_rounds, stats, TARGET)
     return opt, starts
 
@@ -73,7 +84,7 @@ class TestSlopes:
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
         weights = log_uniform_shares(kind, 0.1, log_weights).weights
-        negs, neg_pe, _ = optimize._splitter(kind, parties, total_rounds, target_neg)(weights)
+        negs, neg_pe, _ = finite_key._splitter(kind, parties, total_rounds, target_neg)(weights)
         m = max(2, round(total_rounds * 10.0**log10_p))
         core = _length_core(kind, parties, total_rounds)
         p = optimize._left_edge(total_rounds, m)
@@ -125,17 +136,16 @@ class TestStart:
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
         _, starts = recorded_start(kind, parties, total_rounds, stats)
+        split = finite_key._splitter(kind, parties, total_rounds, TARGET.neg_log2)
         # at every m the search scored
-        for args, got in starts:
-            if got is None:
+        for m, weights, lam in starts:
+            if lam is None:
                 continue  # an empty box, or a slope that is negative
-            weights, lam = got
-            split, m = args[4], args[5]
             assert lam > 0.0
             assert abs(sum(weights) - 1.0) <= 16 * 2.0**-53
             assert all(w > 0.0 for w in weights)
             # dl/dw_i = lambda: a_i / w_i + c_i = lambda ln 2 (the eps_PE
-            # coupling c_i, in the group only, of ``_multiplier_start``) for
+            # coupling c_i, in the group only, of ``_multiplier``) for
             # every share with a slope; one with none sits at its edge
             negs, neg_pe, _ = split(weights)
             a, a_pe = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
@@ -160,8 +170,29 @@ class TestStart:
                     opt, starts = recorded_start(kind, parties, total_rounds, stats)
                     total += opt.evaluations
                     if opt.rate > 0.0:
-                        assert starts and starts[0][1] is not None
+                        assert starts and starts[0][2] is not None
         assert total <= 2130 // 2
+
+    def test_rate_curve_splits_once_per_point_and_round(self):
+        # the multiplier sets up eps_rob's edge and its first weights once
+        # per optimum; solving them again at every m made 975 splits here
+        splits = []
+        inner = finite_key._splitter
+
+        def splitter(*args):
+            split = inner(*args)
+
+            def counted(weights):
+                splits.append(weights)
+                return split(weights)
+
+            return counted
+
+        with mock.patch.object(finite_key, "_splitter", splitter):
+            with mock.patch.object(optimize, "_splitter", splitter):
+                for kind, parties, total_rounds, stats in rate_curve_rows():
+                    optimize_rate(kind, parties, total_rounds, stats, TARGET)
+        assert len(splits) <= 700
 
 
 class TestOptimum:

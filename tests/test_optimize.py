@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mpqkd.finite_key as finite_key
 import mpqkd.optimize as optimize
 from mpqkd.finite_key import (
     ConfigurationError,
@@ -88,14 +89,14 @@ class TestAllocateBudget:
     def test_raises_when_target_never_met(self, monkeypatch, kind):
         # a composition stuck one bit above the target defeats every pass;
         # the correction passes compose through the (eps_PE, eps_tot) core
-        # that _composer binds
+        # that finite_key._composer binds
         calls = []
 
         def stuck(negs):
             calls.append(negs)
             return TARGET.neg_log2, TARGET.neg_log2 - 1.0
 
-        monkeypatch.setattr(optimize, "_composer", lambda *args: stuck)
+        monkeypatch.setattr(finite_key, "_composer", lambda *args: stuck)
         k = len(budget_components(kind))
         shares = BudgetShares(0.05, tuple([1.0 / k] * k))
         with pytest.raises(ValueError, match="exceeds the target by 1 bits"):
@@ -508,7 +509,7 @@ class TestThresholdL:
         for six, step in curves:
             calls, hints, stops, levels = [], [], [], []
 
-            def fake_certified_zero(kind, parties, total, stats, target, p_min, p_max, level=0.0):
+            def fake_certified_zero(kind, parties, total, stats, target, level=0.0):
                 assert kind is Protocol.N_SIX_STATE
                 levels.append((total, level))
                 return six(total) == 0.0 or six(total) + 0.1 < level / total

@@ -24,6 +24,7 @@ from mpqkd.finite_key import (
     _compose_nbb84,
     _compose_nsixstate,
     _length_core,
+    _splitter,
     postselection_bits,
     postselection_exponent,
 )
@@ -168,7 +169,7 @@ class TestScoresAreFresh:
                 got = core(p, stats_, negs, neg_pe)
                 if not point:
                     return got  # the zero-rate certificate, before any point
-                fresh_negs, fresh_pe, _ = optimize._splitter(
+                fresh_negs, fresh_pe, _ = _splitter(
                     kind, parties, total_rounds, target
                 )(point["weights"])
                 assert bits([p]) == bits([point["p"]])
@@ -224,7 +225,7 @@ class TestWithinOneStepOfM:
             return  # past 1/2, where h(p) falls; no config or optimum has such a p
         stats = stats_from_qab_global(q_ab, parties)
         weights = log_uniform_shares(kind, 0.1, log_weights).weights
-        negs, neg_pe, _ = optimize._splitter(kind, parties, total_rounds, target_neg)(weights)
+        negs, neg_pe, _ = _splitter(kind, parties, total_rounds, target_neg)(weights)
         core = _length_core(kind, parties, total_rounds)
         first = core(p1, stats, negs, neg_pe)
         second = core(p2, stats, negs, neg_pe)

@@ -59,16 +59,13 @@ def p_range(kind, total_rounds):
     """``optimize_rate``'s p range (p_min, p_max), or None where L is too
     small for its round bookkeeping."""
     try:
-        return optimize._p_range(kind, 2, total_rounds)[1:]
+        return finite_key._p_range(kind, 2, total_rounds)[1:]
     except ConfigurationError:
         return None
 
 
 def certified(kind, parties, total_rounds, stats, target, level=0.0):
-    p_min, p_max = p_range(kind, total_rounds)
-    return finite_key._certified_zero(
-        kind, parties, total_rounds, stats, target.neg_log2, p_min, p_max, level
-    )
+    return finite_key._certified_zero(kind, parties, total_rounds, stats, target.neg_log2, level)
 
 
 def recording_scorer(scored):
@@ -106,7 +103,7 @@ class TestBound:
     ):
         total_rounds = int(round(10.0**log10_rounds))
         shares = log_uniform_shares(kind, 0.1, log_weights)
-        split = optimize._splitter(kind, parties, total_rounds, target_neg)
+        split = finite_key._splitter(kind, parties, total_rounds, target_neg)
         negs, neg_pe, _ = split(shares.weights)
         floors, floor_pe = finite_key._floors(kind, parties, total_rounds, target_neg)
         # eps_PE is composed, so it may sit a few ULPs below its floor
@@ -123,7 +120,8 @@ class TestBound:
         pair = (0, 1) if kind is Protocol.N_BB84 else (2, 3)
         for i in pair:
             weights[i] = 0.5 - (k - 2) * 5e-13
-        negs, neg_pe, _ = optimize._splitter(kind, parties, 10**9, TARGET.neg_log2)(tuple(weights))
+        split = finite_key._splitter(kind, parties, 10**9, TARGET.neg_log2)
+        negs, neg_pe, _ = split(tuple(weights))
         floors, floor_pe = finite_key._floors(kind, parties, 10**9, TARGET.neg_log2)
         assert neg_pe == pytest.approx(floor_pe, abs=1e-9, rel=1e-15)
 
@@ -163,7 +161,7 @@ class TestBound:
         p = math.exp(lp_lo + u_p * (lp_hi - lp_lo))
         shares = log_uniform_shares(kind, p, log_weights)
         stats = stats_from_qab_global(q_ab, parties)
-        negs, neg_pe, _ = optimize._splitter(kind, parties, total_rounds, target_neg)(
+        negs, neg_pe, _ = finite_key._splitter(kind, parties, total_rounds, target_neg)(
             shares.weights
         )
         net = core_net(kind, parties, total_rounds, p, stats, negs, neg_pe)
@@ -385,13 +383,15 @@ class TestPinnedVerdicts:
         # a six-state rate certified below N-BB84, or the six-state search)
         stats = stats_from_qab_global(0.05, 2)
         certificate, optimum = optimize._certified_zero, optimize._optimum
-        searching, steps, optima = [], {}, []
+        searching, steps, optima, probes = [], {}, [], []
 
         def recorded_certificate(kind, parties, total_rounds, *args):
             holds = certificate(kind, parties, total_rounds, *args)
             if not searching:  # the threshold search's own certificates
                 assert kind is Protocol.N_SIX_STATE
-                level = args[-1] if len(args) == 5 else 0.0
+                level = args[-1] if len(args) == 3 else 0.0
+                if level == 0.0:  # each verdict's first step
+                    probes.append(total_rounds)
                 if holds:
                     steps[total_rounds] = "zero" if level == 0.0 else "below"
             return holds
@@ -413,6 +413,18 @@ class TestPinnedVerdicts:
                     0.05, 2, TARGET, l_min=2**20, search_config=SearchConfig(1000, 3, 5)
                 )
         assert lbar == 1805811301
+        # the scan, the bisection and the checks at 2 L and 4 L, one verdict each
+        assert probes == [2**i for i in range(20, 32)] + [
+            1518500250,
+            1805811301,
+            1655936264,
+            1729250826,
+            1767116488,
+            1786359125,
+            1796058879,
+            3611622602,
+            7223245204,
+        ]
 
         def settled_by(step):
             return sorted(L for L, how in steps.items() if how == step)
