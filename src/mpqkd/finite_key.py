@@ -645,7 +645,6 @@ def _multiplier(
     total_rounds: int,
     stats: ObservedStats,
     target: float,
-    start: Optional[Tuple[float, ...]] = None,
 ) -> Callable[[int], Tuple[Tuple[float, ...], Optional[float]]]:
     """The rate optimizer's weights at each m, for one optimum: ``solve(m)``
     gives the budget weights where the key length at m test rounds is
@@ -682,12 +681,12 @@ def _multiplier(
       take eps_rob past 1 - ``_EDGE``, s stops there, split in the solved
       shares' proportions (a_z : a_x, and EC:PA = 1:2).  That s is set up
       once per optimum, since 20 ULPs of eps_rob there move the PA term by
-      ~0.03 bits.  So are the first weights, ``start`` or equal shares; a
-      start past eps_rob = 1 has no slopes, so equal shares replace it,
-      moved onto that edge if they are past it too.
+      ~0.03 bits.  So are the first weights: equal shares, moved onto that
+      edge where they are past it (there they have no slopes).
 
-    Each solve starts from the last weights solved and keeps its own; where
-    a slope is negative or not finite, the box is empty, or an unconverged
+    Each later solve starts from the last weights solved (which picks the
+    branch where there are several fixed points) and keeps its own; where a
+    slope is negative or not finite, the box is empty, or an unconverged
     solve misses sum w = 1 by over 1e-9, it returns (last weights, None).
     """
     bb84 = kind is Protocol.N_BB84
@@ -698,9 +697,7 @@ def _multiplier(
     # eps_rob at equal shares, and the s where eps_rob = 1 - _EDGE, if any
     e_rob = 2.0 ** -_rob(split(equal)[1], parties)
     cap = (1.0 - _EDGE) * len(group) / size / e_rob if e_rob > 0.0 else math.inf
-    last = start or equal
-    if _rob(split(last)[1], parties) <= 0.0:
-        last = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
+    last = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
 
     def solve(m: int) -> Tuple[Tuple[float, ...], Optional[float]]:
         nonlocal last
@@ -720,8 +717,13 @@ def _multiplier(
             mc = mass * coupling
             root = math.sqrt((out - mc) ** 2 + inside * (inside + 2.0 * out + 2.0 * mc))
             lam = (out + inside + mc + root) / (2.0 * mass) if inside > 0.0 else out / mass
+            gap = lam - coupling
+            if gap <= 0.0 and inside > 0.0:
+                # lam rounded onto the coupling: gap, uncancelled, is the
+                # positive root of mass y^2 - (out + inside - mc) y - inside coupling
+                gap = 2.0 * inside * coupling / (root - (out + inside - mc))
             shares = [
-                (v / (lam - coupling if i in group else lam) if v > 0.0 else _EDGE)
+                (v / (gap if i in group else lam) if v > 0.0 else _EDGE)
                 for i, v in enumerate(a)
             ]
             if sum(shares[i] for i in group) > cap:

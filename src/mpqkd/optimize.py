@@ -16,11 +16,11 @@ simplex (a share with no slope at its least weight, N-BB84's eps_rob just
 short of 1).  eps_EC and eps_PA enter the key length only as -ec - 2 pa and
 eps_tot only through their sum, so there w_PA = 2 w_EC.  One backtracking
 Newton ascent in ln m (``_climb``) converges from the m of p = 0.05, or
-from a warm hint (the optimum at a nearby L; ``threshold_L`` passes the
-previous optimum of the same protocol).  The multiplier is set up once per
-optimum and starts each solve from the last one's weights; each m is
-scored at most once.  The equal-shares point at p = 0.05 is always scored
-first, so the rate never falls below it.  Nothing is random.  Each point is
+of a warm p (``threshold_L`` passes the previous optimum's, at a nearby L).
+The multiplier is set up once per optimum and solves the first m from
+equal shares, each later one from the last one's weights; each m is scored
+at most once.  The equal-shares point at p = 0.05 is always scored first,
+so the rate never falls below it.  Nothing is random.  Each point is
 scored on plain floats (``_scorer``) through the cores that
 ``allocate_budget`` and ``key_length_*`` wrap, so bit for bit as they
 would.  The optimum is plain data (rate, shares, evaluations); its key
@@ -136,18 +136,13 @@ def allocate_budget(
     ValueError is raised if six passes still leave it above, or if the
     shares do not hold one weight per component.
     """
-    _check_weights(kind, shares.weights)
+    size = len(budget_components(kind))
+    if len(shares.weights) != size:
+        raise ValueError(f"{kind.value} takes {size} budget weights, got {len(shares.weights)}")
     negs, _, _ = _splitter(kind, parties, total_rounds, target.neg_log2)(shares.weights)
     return SecurityBudget(
         **{name: LogEps(neg) for name, neg in zip(budget_components(kind), negs)}
     )
-
-
-def _check_weights(kind: Protocol, weights: Tuple[float, ...]) -> None:
-    """ValueError unless ``weights`` holds one weight per budget component."""
-    size = len(budget_components(kind))
-    if len(weights) != size:
-        raise ValueError(f"{kind.value} takes {size} budget weights, got {len(weights)}")
 
 
 _CLEAR = 1e3  # stencil second differences aim at this times the roundoff
@@ -240,7 +235,7 @@ def optimize_rate(
     eps_tot_target: LogEps,
     search_config: Optional[SearchConfig] = None,
     *,
-    warm: Optional[BudgetShares] = None,
+    warm: Optional[float] = None,
 ) -> OptimizedRate:
     """Maximize the net key rate over budget shares and p at fixed eps_tot.
 
@@ -252,16 +247,15 @@ def optimize_rate(
     positive point, and the shares are the least-negative point it found.
 
     The search is one Newton ascent over the test-round count, from the m
-    of p = 0.05 (or of ``warm.p``).  At each m it scores the multiplier's
-    shares there: the weights where the key length is stationary on sum w
-    = 1, or sits at an edge of the simplex (``finite_key._multiplier``,
-    EC and PA split 1:2), each solve started from the last one's weights
-    (the first from ``warm.weights``, or equal shares).  Where an m has no
-    such weights, the last ones are scored there.  Each m is scored at most
-    once: the search reads a value it has scored again from memory, and
-    ``evaluations`` counts every point scored (the multiplier scores none);
-    ``search_config.max_evaluations`` caps it.  A ``warm`` without one
-    weight per budget component raises ValueError.
+    of p = 0.05 (or of the p ``warm``, which must be in (0, 0.5)).  At each
+    m it scores the multiplier's shares there: the weights where the key
+    length is stationary on sum w = 1, or sits at an edge of the simplex
+    (``finite_key._multiplier``, EC and PA split 1:2), each solve started
+    from the last one's weights (the first from equal shares).  Where an m
+    has no such weights, the last ones are scored there.  Each m is scored
+    at most once: the search reads a value it has scored again from memory,
+    and ``evaluations`` counts every point scored (the multiplier scores
+    none); ``search_config.max_evaluations`` caps it.
     """
     return _optimum(kind, parties, total_rounds, stats, eps_tot_target, search_config, warm)
 
@@ -273,14 +267,14 @@ def _optimum(
     stats: ObservedStats,
     eps_tot_target: LogEps,
     search_config: Optional[SearchConfig],
-    warm: Optional[BudgetShares],
+    warm: Optional[float],
     stop: float = math.inf,
 ) -> OptimizedRate:
     """``optimize_rate``, its search stopped once the best rate reaches ``stop``."""
+    if warm is not None and not 0.0 < warm < 0.5:
+        raise ValueError(f"warm must be in (0, 0.5), got {warm}")
     cfg = search_config or SearchConfig()
     n_weights = len(budget_components(kind))
-    if warm is not None:
-        _check_weights(kind, warm.weights)
     # parties, L and the statistics are the same at every point: check once
     m_min, p_min, p_max = _p_range(kind, parties, total_rounds)
     _check_stats(kind, parties, stats)
@@ -316,8 +310,8 @@ def _optimum(
 
     # too few counts for a central difference in m: the floor alone
     if not certified and k_max >= 3:
-        solve = _multiplier(kind, parties, total_rounds, stats, target, warm and warm.weights)
-        k = math.floor(total_rounds * (p0 if warm is None else warm.p)) // m_min
+        solve = _multiplier(kind, parties, total_rounds, stats, target)
+        k = math.floor(total_rounds * (p0 if warm is None else warm)) // m_min
         _climb(f, k, k_max, noise)
 
     value, weights, p = best
@@ -401,16 +395,16 @@ def threshold_L(
     level r_BB84 L bits); elsewhere the six-state search stops once it
     reaches r_BB84, as the full search, only adding points, would too.  The
     first optimum of each protocol starts cold; every later one is
-    warm-started (``optimize_rate``'s ``warm``) from the previous optimum of
-    the same protocol, since the optimal shares and log p move smoothly
-    with log L.
+    warm-started (``optimize_rate``'s ``warm``) from the p of the previous
+    optimum of the same protocol, since the optimal log p moves smoothly
+    with log L; nothing else carries over.
     """
     if l_min < 1:
         raise ValueError(f"l_min must be at least 1, got {l_min}")
     stats = stats_from_qab_global(q_ab, parties)
     bb84, six = Protocol.N_BB84, Protocol.N_SIX_STATE
     target = eps_tot_target.neg_log2
-    warm: Dict[Protocol, BudgetShares] = {}
+    warm: Dict[Protocol, float] = {}
 
     def verdict(total_rounds: int) -> bool:
         search = (parties, total_rounds, stats, eps_tot_target, search_config)
@@ -418,14 +412,14 @@ def threshold_L(
             if _certified_zero(six, parties, total_rounds, stats, target):
                 return False
             opt = optimize_rate(bb84, *search, warm=warm.get(bb84))
-            warm[bb84], r_bb84 = opt.shares, opt.rate
+            warm[bb84], r_bb84 = opt.shares.p, opt.rate
             level = r_bb84 * total_rounds
             if r_bb84 == 0.0 or _certified_zero(six, parties, total_rounds, stats, target, level):
                 return False
             opt = _optimum(six, *search, warm.get(six), r_bb84)
         except ConfigurationError:
             return False
-        warm[six] = opt.shares
+        warm[six] = opt.shares.p
         return opt.rate >= r_bb84
 
     return _threshold_from_curve(functools.cache(verdict), l_min, l_max)

@@ -227,6 +227,9 @@ def test_criterion_11_crossover_behavior():
         lbar_q01 = threshold_L(0.01, 5, EPS_TOT, search_config=THRESHOLD_SEARCH)
         lbar_q10 = threshold_L(0.10, 5, EPS_TOT, search_config=THRESHOLD_SEARCH)
         assert lbar_q01 >= lbar_52 >= lbar_q10  # shrinks with the noise
+        # the thresholds themselves, as the warm-started scan finds them
+        lbars = (lbar_22, lbar_52, lbar_82, lbar_q01, lbar_q10)
+        assert lbars == (1805811301, 42901602902, 3247575039328, 3160823245362, 8873616143)
 
 
 def test_criterion_12_monotonicity_suite():

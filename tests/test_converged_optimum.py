@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from mpqkd.finite_key import (
     Protocol,
     ProtocolConfig,
-    budget_components,
     key_length_nbb84,
     key_length_nsixstate,
 )
@@ -163,10 +162,8 @@ class TestEvaluationCap:
     def test_max_evaluations_caps_each_optimum(self, kind, parties, log10_rounds, cap, warm_p):
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(0.05, parties)
-        k = len(budget_components(kind))
-        warm = None if warm_p is None else BudgetShares(warm_p, (1.0 / k,) * k)
         cfg = SearchConfig(cap, 1, 0)
-        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, cfg, warm=warm)
+        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, cfg, warm=warm_p)
         assert 1 <= opt.evaluations <= cap
 
     def test_cap_one_scores_the_floor_alone(self):

@@ -126,8 +126,7 @@ class TestAllocateBudget:
         assert composed.neg_log2 >= target.neg_log2
 
 
-# shares with one weight too many or too few for each protocol; a six-state
-# optimum at N = 2, L = 1e6 is a certified zero, which scores no hint
+# shares with one weight too many or too few for each protocol
 WRONG_COUNTS = [
     (Protocol.N_BB84, 3),
     (Protocol.N_BB84, 6),
@@ -148,13 +147,6 @@ class TestWeightCount:
         with mock.patch.object(optimize, "_splitter", side_effect=AssertionError("split")):
             with pytest.raises(ValueError, match=message):
                 allocate_budget(kind, 2, 10**6, TARGET, shares)
-
-    def test_warm_hint_names_both_counts(self, kind, count):
-        shares, message = self.shares(kind, count)
-        stats = stats_from_qab_global(0.05, 2)
-        with mock.patch.object(optimize, "_scorer", side_effect=AssertionError("scored")):
-            with pytest.raises(ValueError, match=message):
-                optimize_rate(kind, 2, 10**6, stats, TARGET, warm=shares)
 
 
 class TestOptimizeRate:
@@ -280,14 +272,13 @@ def equal_shares_rate(kind, parties, total_rounds, stats, target):
 
 class TestWarmStart:
     @settings(max_examples=40, deadline=None)
-    # a hint whose start, within its budget, ends below the equal-shares rate
+    # a warm p far above the optimum's, under a cap of 111 points
     @example(
         kind=Protocol.N_BB84,
         parties=2,
         log10_rounds=math.log10(250422),
         q_ab=0.01103290419067407,
         hint_p=0.36331860620528095,
-        log_weights=[math.log(w) for w in (6.8e-06, 2.6e-07, 1.3e-08, 0.99999)] + [0.0, 0.0],
         max_evaluations=111,
     )
     @given(
@@ -296,17 +287,15 @@ class TestWarmStart:
         log10_rounds=st.floats(4.0, 12.0),
         q_ab=st.floats(0.01, 0.1),
         hint_p=st.floats(1e-6, 0.49),
-        log_weights=LOG_WEIGHTS,
         max_evaluations=st.integers(20, 300),
     )
     def test_never_below_equal_shares(
-        self, kind, parties, log10_rounds, q_ab, hint_p, log_weights, max_evaluations
+        self, kind, parties, log10_rounds, q_ab, hint_p, max_evaluations
     ):
-        hint = log_uniform_shares(kind, hint_p, log_weights)
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
         cfg = SearchConfig(max_evaluations, 2, 0)
-        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, cfg, warm=hint)
+        opt = optimize_rate(kind, parties, total_rounds, stats, TARGET, cfg, warm=hint_p)
         assert opt.rate >= equal_shares_rate(kind, parties, total_rounds, stats, TARGET)
 
     def test_hint_from_nearby_optimum_is_cheaper(self):
@@ -314,22 +303,30 @@ class TestWarmStart:
         kind = Protocol.N_SIX_STATE
         near = optimize_rate(kind, 2, 10**9, stats, TARGET, FAST)
         cold = optimize_rate(kind, 2, 2 * 10**9, stats, TARGET, FAST)
-        warm = optimize_rate(kind, 2, 2 * 10**9, stats, TARGET, FAST, warm=near.shares)
+        warm = optimize_rate(kind, 2, 2 * 10**9, stats, TARGET, FAST, warm=near.shares.p)
         assert warm.evaluations < cold.evaluations
         assert warm.rate == pytest.approx(cold.rate, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", list(Protocol))
+    @pytest.mark.parametrize("hint", [0.0, 0.5, -0.1, math.nan])
+    def test_warm_outside_p_range_raises(self, kind, hint):
+        stats = stats_from_qab_global(0.05, 2)
+        with mock.patch.object(optimize, "_scorer", side_effect=AssertionError("scored")):
+            with pytest.raises(ValueError, match=r"^warm must be in \(0, 0\.5\), got "):
+                optimize_rate(kind, 2, 10**8, stats, TARGET, warm=hint)
+
     def test_infeasible_hint_falls_back_to_cold_search(self):
-        # at a 0.2-bit target with N = 6, eps_rob >= 1 wherever w_z + w_x is
-        # near 1: the hint is vacuous, and so is the equal-shares point; both
-        # solves start from equal shares moved onto eps_rob's edge
+        # at a 0.2-bit target with N = 6 the equal-shares point is vacuous
+        # (eps_rob >= 1): a warm p of 0.05 gives the cold search's optimum,
+        # both searches solving their first m from equal shares moved onto
+        # eps_rob's edge
         kind, parties, total_rounds = Protocol.N_BB84, 6, 10**6
         stats = stats_from_qab_global(0.05, parties)
         target = LogEps(0.2)
         # a cap neither search reaches, so that both end where they converge
         cfg = SearchConfig(2000, 1, 0)
-        hint = BudgetShares(0.05, (0.5 - 1e-12, 0.5 - 1e-12, 1e-12, 1e-12))
         cold = optimize_rate(kind, parties, total_rounds, stats, target, cfg)
-        got = optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=hint)
+        got = optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=0.05)
         assert cold.rate > 0.0
         assert got.rate == cold.rate
         assert got.shares == cold.shares
@@ -388,11 +385,9 @@ class TestReplayReferee:
         total_rounds = int(round(10.0**log10_rounds))
         stats = stats_from_qab_global(q_ab, parties)
         cfg = SearchConfig(max_evaluations, 1, 0)
-        k = len(budget_components(kind))
-        warm = None if hint_p is None else BudgetShares(hint_p, (1.0 / k,) * k)
 
         def run():
-            return optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=warm)
+            return optimize_rate(kind, parties, total_rounds, stats, target, cfg, warm=hint_p)
 
         replay = mock.patch.object(optimize, "_scorer", public_scorer)
         try:
@@ -519,8 +514,8 @@ class TestThresholdL:
                 hints.append(warm)
                 stops.append(stop)
                 rate = six(total) if kind is Protocol.N_SIX_STATE else bb84(total)
-                # the shares stand for the optimum they came from
-                return SimpleNamespace(rate=rate, shares=(kind, total))
+                # the p stands for the optimum it came from
+                return SimpleNamespace(rate=rate, shares=SimpleNamespace(p=(kind, total)))
 
             monkeypatch.setattr(optimize, "_certified_zero", fake_certified_zero)
             monkeypatch.setattr(optimize, "_optimum", fake_optimum)
@@ -554,8 +549,8 @@ class TestThresholdL:
                 for level in ((0.0, bb84(t) * t) if six(t) > 0.0 and bb84(t) > 0.0 else (0.0,))
             ]
 
-            # every optimum after the first of a protocol starts from the
-            # previous optimum of that protocol
+            # every optimum after the first of a protocol starts from the p
+            # of the previous optimum of that protocol
             for i, ((kind, total), warm) in enumerate(zip(calls, hints)):
                 earlier = [call for call in calls[:i] if call[0] is kind]
                 assert warm == (earlier[-1] if earlier else None), (step, kind, total)
