@@ -629,14 +629,21 @@ _MULTIPLIER_TOL = 1e-10
 _EDGE = 2.0**-40
 
 
-def _onto_edge(weights: Tuple[float, ...], group: Tuple[int, ...], cap: float) -> Tuple[float, ...]:
+def _onto_edge(
+    weights: Tuple[float, ...], group: Tuple[int, ...], rest: Tuple[int, ...], cap: float
+) -> Tuple[float, ...]:
     """``weights`` with the group's mass set to ``cap`` and the rest's to
     1 - cap, each part in its own proportions."""
-    inside = sum(w for i, w in enumerate(weights) if i in group)
-    outside = sum(w for i, w in enumerate(weights) if i not in group)
-    return tuple(
-        w * (cap / inside if i in group else (1.0 - cap) / outside) for i, w in enumerate(weights)
-    )
+    inside = outside = 0.0
+    for i in group:
+        inside += weights[i]
+    for i in rest:
+        outside += weights[i]
+    up, down = cap / inside, (1.0 - cap) / outside
+    moved = [w * down for w in weights]
+    for i in group:
+        moved[i] = weights[i] * up
+    return tuple(moved)
 
 
 def _multiplier(
@@ -688,16 +695,20 @@ def _multiplier(
     branch where there are several fixed points) and keeps its own; where a
     slope is negative or not finite, the box is empty, or an unconverged
     solve misses sum w = 1 by over 1e-9, it returns (last weights, None).
+    Its sums run left to right from 0 in index order, not through ``sum()``,
+    which compensates float sums since Python 3.12; so every supported
+    Python gives the same bits.
     """
     bb84 = kind is Protocol.N_BB84
     split = _splitter(kind, parties, total_rounds, target)
-    group = (0, 1) if bb84 else (1, 2, 3)
     size = len(budget_components(kind))
+    # the eps_PE group of the weights, and the rest
+    group, rest = ((0, 1), (2, 3)) if bb84 else ((1, 2, 3), (0, 4, 5))
     equal = (1.0 / size,) * size
     # eps_rob at equal shares, and the s where eps_rob = 1 - _EDGE, if any
     e_rob = 2.0 ** -_rob(split(equal)[1], parties)
     cap = (1.0 - _EDGE) * len(group) / size / e_rob if e_rob > 0.0 else math.inf
-    last = equal if e_rob < 1.0 else _onto_edge(equal, group, cap)
+    last = equal if e_rob < 1.0 else _onto_edge(equal, group, rest, cap)
 
     def solve(m: int) -> Tuple[Tuple[float, ...], Optional[float]]:
         nonlocal last
@@ -705,14 +716,21 @@ def _multiplier(
         for _ in range(_MULTIPLIER_ROUNDS):
             negs, neg_pe, _ = split(weights)
             got = _slopes(kind, parties, total_rounds, stats, m, negs, neg_pe)
-            if got is None or not all(0.0 <= v < math.inf for v in got[0]):
+            if got is None:
                 return last, None
             a, a_pe = got
-            s = sum(weights[i] for i in group)
+            for v in a:
+                if not 0.0 <= v < math.inf:  # NaN fails too
+                    return last, None
+            # sums in a fixed order (see the docstring)
+            s = inside = out = 0.0
+            for i in group:
+                s += weights[i]
+                inside += a[i]
+            for i in rest:
+                out += a[i]
             coupling = (a_pe + (a[0] + a[1] if bb84 else 0.0)) / s
             mass = 1.0 - _EDGE * a.count(0.0)
-            out = sum(v for i, v in enumerate(a) if i not in group)
-            inside = sum(v for i, v in enumerate(a) if i in group)
             # the larger root of mass lam^2 - (out + inside + mc) lam + out coupling
             mc = mass * coupling
             root = math.sqrt((out - mc) ** 2 + inside * (inside + 2.0 * out + 2.0 * mc))
@@ -722,14 +740,20 @@ def _multiplier(
                 # lam rounded onto the coupling: gap, uncancelled, is the
                 # positive root of mass y^2 - (out + inside - mc) y - inside coupling
                 gap = 2.0 * inside * coupling / (root - (out + inside - mc))
-            shares = [
-                (v / (gap if i in group else lam) if v > 0.0 else _EDGE)
-                for i, v in enumerate(a)
-            ]
-            if sum(shares[i] for i in group) > cap:
-                shares = _onto_edge(shares, group, cap)
+            shares = [v / lam if v > 0.0 else _EDGE for v in a]
+            held = 0.0
+            for i in group:
+                if a[i] > 0.0:
+                    shares[i] = a[i] / gap
+                held += shares[i]
+            if held > cap:
+                shares = _onto_edge(shares, group, rest, cap)
                 lam = a[-1] / shares[-1]  # the PA share, outside the group: c = 0
-            done = all(abs(math.log(u / v)) < _MULTIPLIER_TOL for u, v in zip(shares, weights))
+            done = True
+            for u, v in zip(shares, weights):
+                if not abs(math.log(u / v)) < _MULTIPLIER_TOL:
+                    done = False
+                    break
             weights = tuple(shares)
             if done:
                 break
